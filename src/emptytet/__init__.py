@@ -54,7 +54,6 @@ from .verify import (
 from .white import (
     CanonicalForm,
     clean_forms,
-    d_of,
     empty_forms,
     floor_step,
     floor_step_support,
@@ -83,7 +82,6 @@ __all__ = [
     "canonicalize",
     "clean_forms",
     "cross",
-    "d_of",
     "det3",
     "empty_forms",
     "equivalent",

@@ -3,7 +3,10 @@
 Every predicate is decided by signs of integer determinants; there is no
 floating point and no division except exact ones guarded by asserts.  The
 *_bruteforce functions scan an integer bounding box and serve as ground
-truth for the fast number-theoretic criteria in `white`.
+truth for the fast number-theoretic criteria in `white`.  Two scan cores
+do the scanning: `_points_in` walks a tetrahedron's box and yields its
+lattice points, and `_plane_region_is_empty` walks the box of a triangle
+or parallelogram in a lattice plane.
 
 A tetrahedron is *empty* when its only lattice points are its four
 vertices, and *clean* when its boundary carries no lattice points besides
@@ -13,6 +16,7 @@ the vertices (interior points are allowed).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -22,6 +26,7 @@ from .intlin import (
     ZERO,
     AffineUnimodularMap,
     Vec3,
+    add,
     cross,
     det3,
     dot,
@@ -29,6 +34,7 @@ from .intlin import (
     neg,
     sub,
 )
+from .white import CanonicalForm
 
 
 class DegenerateTetrahedronError(ValueError):
@@ -52,9 +58,11 @@ class Tetrahedron:
     v3: Vec3
 
     def __post_init__(self) -> None:
-        for name in ("v0", "v1", "v2", "v3"):
-            p = getattr(self, name)
-            object.__setattr__(self, name, (int(p[0]), int(p[1]), int(p[2])))
+        for p in self.vertices():
+            if type(p) is not tuple or len(p) != 3 or not (
+                type(p[0]) is int and type(p[1]) is int and type(p[2]) is int
+            ):
+                raise TypeError(f"vertex must be a tuple of 3 ints, got {p!r}")
         if det3(self.edge_vectors()) == 0:
             raise DegenerateTetrahedronError(
                 f"degenerate tetrahedron (coplanar vertices): {self.vertices()}"
@@ -102,16 +110,14 @@ def _face_forms(t: Tetrahedron):
     )
 
 
-def _classify(d0: int, d1: int, d2: int, d3: int) -> PointLocation:
-    if d0 < 0 or d1 < 0 or d2 < 0 or d3 < 0:
-        return PointLocation.OUTSIDE
-    zeros = (d0 == 0) + (d1 == 0) + (d2 == 0) + (d3 == 0)
-    if zeros == 0:
-        return PointLocation.INTERIOR
-    if zeros == 3:
-        return PointLocation.VERTEX
-    # zeros == 4 would force total == 0, excluded by nondegeneracy.
-    return PointLocation.BOUNDARY_NON_VERTEX
+# Location of an in-tetrahedron point by how many face forms vanish there;
+# four zeros would force total == 0, excluded by nondegeneracy.
+_LOCATION_BY_ZEROS = (
+    PointLocation.INTERIOR,
+    PointLocation.BOUNDARY_NON_VERTEX,
+    PointLocation.BOUNDARY_NON_VERTEX,
+    PointLocation.VERTEX,
+)
 
 
 def locate(t: Tetrahedron, p: Vec3) -> PointLocation:
@@ -120,7 +126,10 @@ def locate(t: Tetrahedron, p: Vec3) -> PointLocation:
     d1 = dot(n1, p) + c1
     d2 = dot(n2, p) + c2
     d3 = dot(n3, p) + c3
-    return _classify(total - d1 - d2 - d3, d1, d2, d3)
+    d0 = total - d1 - d2 - d3
+    if d0 < 0 or d1 < 0 or d2 < 0 or d3 < 0:
+        return PointLocation.OUTSIDE
+    return _LOCATION_BY_ZEROS[(d0 == 0) + (d1 == 0) + (d2 == 0) + (d3 == 0)]
 
 
 def _bounding_box(points) -> tuple[range, range, range]:
@@ -134,35 +143,15 @@ def _bounding_box(points) -> tuple[range, range, range]:
     )
 
 
-def lattice_points_in(t: Tetrahedron) -> list[tuple[Vec3, PointLocation]]:
-    """Every lattice point of the closed tetrahedron with its location.
+def _points_in(t: Tetrahedron) -> Iterator[tuple[Vec3, int]]:
+    """The tetrahedron scan core: every lattice point of the closed t.
 
-    Scans the integer bounding box of the vertices; the result is in
-    lexicographic (x, y, z) order.
-    """
-    total, ((n1, c1), (n2, c2), (n3, c3)) = _face_forms(t)
-    xr, yr, zr = _bounding_box(t.vertices())
-    found = []
-    for x in xr:
-        for y in yr:
-            for z in zr:
-                p = (x, y, z)
-                d1 = dot(n1, p) + c1
-                d2 = dot(n2, p) + c2
-                d3 = dot(n3, p) + c3
-                loc = _classify(total - d1 - d2 - d3, d1, d2, d3)
-                if loc is not PointLocation.OUTSIDE:
-                    found.append((p, loc))
-    return found
-
-
-def is_empty_bruteforce(t: Tetrahedron) -> bool:
-    """Oracle: no lattice point besides the four vertices.
-
-    Same bounding-box scan as lattice_points_in, but stops at the first
-    non-vertex point.  The inner loop is unrolled into incremental affine
-    evaluations because this runs over millions of points in the
-    verification suites.
+    Yields (p, zeros) in lexicographic (x, y, z) order over the integer
+    bounding box of the vertices, where zeros is the number of face forms
+    vanishing at p: 0 for interior points, 3 for vertices, 1 or 2 for the
+    rest of the boundary.  The inner loop is unrolled into incremental
+    affine evaluations because the verification suites run it over
+    millions of points; callers stop at the first point that decides.
     """
     total, ((n1, c1), (n2, c2), (n3, c3)) = _face_forms(t)
     n1x, n1y, n1z = n1
@@ -190,9 +179,18 @@ def is_empty_bruteforce(t: Tetrahedron) -> bool:
                 d0 = total - d1 - d2 - d3
                 if d0 < 0:
                     continue
-                if ((d0 == 0) + (d1 == 0) + (d2 == 0) + (d3 == 0)) != 3:
-                    return False
-    return True
+                yield (x, y, z), (d0 == 0) + (d1 == 0) + (d2 == 0) + (d3 == 0)
+
+
+def lattice_points_in(t: Tetrahedron) -> list[tuple[Vec3, PointLocation]]:
+    """Every lattice point of the closed tetrahedron with its location,
+    in lexicographic (x, y, z) order."""
+    return [(p, _LOCATION_BY_ZEROS[zeros]) for p, zeros in _points_in(t)]
+
+
+def is_empty_bruteforce(t: Tetrahedron) -> bool:
+    """Oracle: no lattice point besides the four vertices; stops at the first other one."""
+    return all(zeros == 3 for _, zeros in _points_in(t))
 
 
 def bruteforce_verdicts(t: Tetrahedron) -> tuple[bool, bool]:
@@ -202,38 +200,12 @@ def bruteforce_verdicts(t: Tetrahedron) -> tuple[bool, bool]:
     so the sweep stops there; an interior point only refutes emptiness and
     the sweep continues hunting for boundary points.
     """
-    total, ((n1, c1), (n2, c2), (n3, c3)) = _face_forms(t)
-    n1x, n1y, n1z = n1
-    n2x, n2y, n2z = n2
-    n3x, n3y, n3z = n3
-    xr, yr, zr = _bounding_box(t.vertices())
     empty = True
-    for x in xr:
-        r1 = n1x * x + c1
-        r2 = n2x * x + c2
-        r3 = n3x * x + c3
-        for y in yr:
-            b1 = r1 + n1y * y
-            b2 = r2 + n2y * y
-            b3 = r3 + n3y * y
-            for z in zr:
-                d1 = b1 + n1z * z
-                if d1 < 0:
-                    continue
-                d2 = b2 + n2z * z
-                if d2 < 0:
-                    continue
-                d3 = b3 + n3z * z
-                if d3 < 0:
-                    continue
-                d0 = total - d1 - d2 - d3
-                if d0 < 0:
-                    continue
-                zeros = (d0 == 0) + (d1 == 0) + (d2 == 0) + (d3 == 0)
-                if zeros == 0:
-                    empty = False
-                elif zeros != 3:
-                    return False, False
+    for _, zeros in _points_in(t):
+        if zeros == 0:
+            empty = False
+        elif zeros != 3:
+            return False, False
     return empty, True
 
 
@@ -254,18 +226,22 @@ def is_primitive_pair(u: Vec3, v: Vec3) -> bool:
     return gcd_vec(_plane_coefficients(u, v)) == 1
 
 
-def triangle_is_empty_bruteforce(u: Vec3, v: Vec3) -> bool:
-    """Oracle: the closed triangle {0, u, v} has no lattice point except its vertices.
+def _plane_region_is_empty(
+    u: Vec3, v: Vec3, corners: tuple[Vec3, ...], inside: Callable[[int, int, int], bool]
+) -> bool:
+    """The plane scan core: no lattice point of a region spanned by u, v
+    except the given corners.
 
-    Membership of p is solved exactly: with n = cross(u, v), the scaled
-    coordinates s = det(p, v, n) and t = det(u, p, n) satisfy
-    p = (s*u + t*v) / dot(n, n) for in-plane p.
+    Scans the integer bounding box of the corners.  Membership of p is
+    solved exactly: with n = cross(u, v), the scaled coordinates
+    s = det(p, v, n) and t = det(u, p, n) satisfy p = (s*u + t*v) / nn,
+    nn = dot(n, n), for in-plane p; inside(s, t, nn) says whether (s, t)
+    lies in the closed region.
     """
     n = _plane_coefficients(u, v)
     nn = dot(n, n)
     sv = cross(v, n)  # s * nn = dot(p, sv)
     tu = cross(n, u)  # t * nn = dot(p, tu)
-    corners = (ZERO, u, v)
     xr, yr, zr = _bounding_box(corners)
     for x in xr:
         for y in yr:
@@ -273,47 +249,23 @@ def triangle_is_empty_bruteforce(u: Vec3, v: Vec3) -> bool:
                 p = (x, y, z)
                 if dot(n, p) != 0:
                     continue
-                s = dot(p, sv)
-                if s < 0:
-                    continue
-                t = dot(p, tu)
-                if t < 0 or s + t > nn:
-                    continue
-                if p not in corners:
+                if inside(dot(p, sv), dot(p, tu), nn) and p not in corners:
                     return False
     return True
+
+
+def triangle_is_empty_bruteforce(u: Vec3, v: Vec3) -> bool:
+    """Oracle: the closed triangle {0, u, v} has no lattice point except its vertices."""
+    return _plane_region_is_empty(
+        u, v, (ZERO, u, v), lambda s, t, nn: s >= 0 and t >= 0 and s + t <= nn
+    )
 
 
 def parallelogram_is_empty_bruteforce(u: Vec3, v: Vec3) -> bool:
     """Oracle: the closed parallelogram spanned by u, v has only its 4 corners."""
-    n = _plane_coefficients(u, v)
-    nn = dot(n, n)
-    sv = cross(v, n)
-    tu = cross(n, u)
-    corners = (ZERO, u, v, (u[0] + v[0], u[1] + v[1], u[2] + v[2]))
-    xr, yr, zr = _bounding_box(corners)
-    for x in xr:
-        for y in yr:
-            for z in zr:
-                p = (x, y, z)
-                if dot(n, p) != 0:
-                    continue
-                s = dot(p, sv)
-                if s < 0 or s > nn:
-                    continue
-                t = dot(p, tu)
-                if t < 0 or t > nn:
-                    continue
-                if p not in corners:
-                    return False
-    return True
-
-
-def _check_height_params(a: int, b: int, c: int) -> None:
-    if c < 1:
-        raise ValueError(f"c must be >= 1, got {c}")
-    if not (0 <= a < c and 0 <= b < c):
-        raise ValueError(f"need 0 <= a, b < c, got a={a}, b={b}, c={c}")
+    return _plane_region_is_empty(
+        u, v, (ZERO, u, v, add(u, v)), lambda s, t, nn: 0 <= s <= nn and 0 <= t <= nn
+    )
 
 
 def parallelepiped_interior_points(a: int, b: int, c: int) -> list[Vec3]:
@@ -326,7 +278,7 @@ def parallelepiped_interior_points(a: int, b: int, c: int) -> list[Vec3]:
     Requires gcd(a, c) = gcd(b, c) = 1; otherwise some of these points
     would degenerate onto the boundary.
     """
-    _check_height_params(a, b, c)
+    CanonicalForm(a, b, c)  # validates types and ranges
     if math.gcd(a, c) != 1 or math.gcd(b, c) != 1:
         raise ValueError(
             f"need gcd(a, c) = gcd(b, c) = 1, got a={a}, b={b}, c={c}"
@@ -347,7 +299,7 @@ def parallelepiped_interior_bruteforce(a: int, b: int, c: int) -> list[Vec3]:
     vectors lie strictly between 0 and 1, i.e. 0 < z < c,
     0 < x*c - z*a < c and 0 < y*c - z*b < c.  Lexicographic order.
     """
-    _check_height_params(a, b, c)
+    CanonicalForm(a, b, c)  # validates types and ranges
     found = []
     for x in range(0, a + 2):
         for y in range(0, b + 2):

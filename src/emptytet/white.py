@@ -31,6 +31,8 @@ class CanonicalForm:
     c: int
 
     def __post_init__(self) -> None:
+        if not (type(self.a) is int and type(self.b) is int and type(self.c) is int):
+            raise TypeError(f"a, b, c must be ints, got {self.a!r}, {self.b!r}, {self.c!r}")
         if self.c < 1:
             raise ValueError(f"c must be >= 1, got {self.c}")
         if not (0 <= self.a < self.c and 0 <= self.b < self.c):
@@ -46,11 +48,6 @@ class CanonicalForm:
     def sort_key(self) -> tuple[int, int, int]:
         """(c, a, b), the order used to pick canonical representatives."""
         return (self.c, self.a, self.b)
-
-
-def d_of(a: int, b: int, c: int) -> int:
-    """Fourth parameter of the form (a, b, c); validates the parameter ranges."""
-    return CanonicalForm(a, b, c).d
 
 
 def frac_multiple(k: int, n: int, c: int) -> Fraction:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,12 @@ from emptytet.intlin import cross, det3, gcd_vec, sub
 from emptytet.verify import random_unimodular_map
 
 UNIT = Tetrahedron((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+LOCATE_CASES = [
+    UNIT,
+    standard_tetrahedron(1, 1, 2),
+    standard_tetrahedron(2, 3, 7),
+    Tetrahedron((-1, 2, 0), (3, 1, 1), (0, -2, 2), (1, 1, 5)),
+]
 
 
 def locate_oracle(t, p):
@@ -65,6 +72,22 @@ def test_degenerate_rejected():
         Tetrahedron((0, 0, 0), (1, 0, 0), (0, 1, 0), (3, -2, 0))
 
 
+def test_non_int_vertices_rejected():
+    good = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 5))
+    for i, bad in [
+        (1, (1.7, 0, 0)),  # must not be truncated to 1
+        (3, (1, 1, 5, 99)),  # must not be cut to three components
+        (3, (1, 1)),
+        (2, (0, True, 0)),  # bool is not an int coordinate
+        (0, [0, 0, 0]),
+        (3, 5),
+    ]:
+        verts = list(good)
+        verts[i] = bad
+        with pytest.raises(TypeError):
+            Tetrahedron(*verts)
+
+
 def test_volume6():
     assert volume6(UNIT) == 1
     assert volume6(standard_tetrahedron(1, 1, 2)) == 2
@@ -88,13 +111,7 @@ def test_locate_frozen_cases():
 
 
 def test_locate_matches_barycentric_oracle():
-    tets = [
-        UNIT,
-        standard_tetrahedron(1, 1, 2),
-        standard_tetrahedron(2, 3, 7),
-        Tetrahedron((-1, 2, 0), (3, 1, 1), (0, -2, 2), (1, 1, 5)),
-    ]
-    for t in tets:
+    for t in LOCATE_CASES:
         for p in box_points(t):
             assert locate(t, p) == locate_oracle(t, p), (t, p)
 
@@ -133,6 +150,23 @@ def test_lattice_points_lex_order_and_locations():
     assert any(loc == PointLocation.INTERIOR for _, loc in pts)
     for p, loc in pts:
         assert locate(t, p) == loc
+    # Against the independent Fraction oracle, on tetrahedra with negative
+    # coordinates and with a negatively oriented vertex order.
+    for t in LOCATE_CASES:
+        want = [(p, locate_oracle(t, p)) for p in box_points(t)]
+        want = [(p, loc) for p, loc in want if loc != PointLocation.OUTSIDE]
+        assert lattice_points_in(t) == want, t
+
+
+def test_oracles_stop_at_first_deciding_point():
+    # The box holds about 6e7 points and the boundary point (0, 0, 1) is the
+    # second one scanned: stopping there takes microseconds, a full scan
+    # over a minute.
+    t = Tetrahedron((0, 0, 0), (0, 0, 2), (0, 1, 0), (10**7, 0, 0))
+    start = time.perf_counter()
+    assert bruteforce_verdicts(t) == (False, False)
+    assert not is_empty_bruteforce(t)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_oracle_frozen_verdicts():

@@ -7,7 +7,6 @@ from emptytet.geometry import is_empty_bruteforce, standard_tetrahedron
 from emptytet.white import (
     CanonicalForm,
     clean_forms,
-    d_of,
     empty_forms,
     floor_step,
     floor_step_support,
@@ -25,11 +24,11 @@ def coprime_range(c):
 
 
 def test_d_of_frozen():
-    assert d_of(1, 1, 7) == 6
-    assert d_of(3, 4, 7) == 1
-    assert d_of(0, 0, 1) == 0
-    assert d_of(1, 1, 2) == 1
-    assert d_of(2, 3, 7) == 3
+    assert CanonicalForm(1, 1, 7).d == 6
+    assert CanonicalForm(3, 4, 7).d == 1
+    assert CanonicalForm(0, 0, 1).d == 0
+    assert CanonicalForm(1, 1, 2).d == 1
+    assert CanonicalForm(2, 3, 7).d == 3
 
 
 def test_form_validation():
@@ -40,7 +39,13 @@ def test_form_validation():
     with pytest.raises(ValueError):
         CanonicalForm(-1, 0, 3)
     with pytest.raises(ValueError):
-        d_of(5, 0, 5)
+        CanonicalForm(5, 0, 5)
+
+
+def test_form_rejects_non_int_parameters():
+    for bad in [(1.0, 1, 5), (1, True, 5), (1, 1, 5.0), (1, 1, "5"), (1.0, True, 5)]:
+        with pytest.raises(TypeError):
+            CanonicalForm(*bad)
 
 
 def test_d_in_range_and_involution():
