@@ -7,45 +7,28 @@ reduces tetrahedra to the standard form T(a, b, c) by affine unimodular
 maps, and cross-validates the number-theoretic criteria against
 brute-force lattice scans.  All arithmetic is exact integer or rational;
 no floating point is used anywhere.
+
+The top level holds what the command line and the paper's claims use;
+the reference oracles, the equation systems and the integer linear
+algebra are imported from `emptytet.geometry`, `emptytet.white` and
+`emptytet.intlin`.
 """
 
 from .geometry import (
     DegenerateTetrahedronError,
-    PointLocation,
     Tetrahedron,
     bruteforce_verdicts,
-    is_clean_bruteforce,
-    is_empty_bruteforce,
-    is_primitive_pair,
-    lattice_points_in,
-    locate,
-    parallelepiped_interior_bruteforce,
     parallelepiped_interior_points,
-    parallelogram_is_empty_bruteforce,
     standard_tetrahedron,
-    triangle_is_empty_bruteforce,
     volume6,
-)
-from .intlin import (
-    AffineUnimodularMap,
-    NotPrimitiveError,
-    cross,
-    det3,
-    extend_to_basis,
-    extended_gcd3,
-    gcd_vec,
 )
 from .normalize import (
     NormalizationResult,
     NotNormalizableError,
     canonical_form,
     canonicalize,
-    equivalent,
-    normalize,
 )
 from .verify import (
-    VerificationReport,
-    random_unimodular_map,
     verify_coplanarity,
     verify_floor_steps,
     verify_normalization,
@@ -53,60 +36,28 @@ from .verify import (
 )
 from .white import (
     CanonicalForm,
-    clean_forms,
     empty_forms,
-    floor_step,
-    floor_step_support,
-    frac_multiple,
     is_clean_form,
     satisfied_clause,
-    satisfies_fraction_system,
-    satisfies_step_system,
     white_empty,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineUnimodularMap",
     "CanonicalForm",
     "DegenerateTetrahedronError",
     "NormalizationResult",
     "NotNormalizableError",
-    "NotPrimitiveError",
-    "PointLocation",
     "Tetrahedron",
-    "VerificationReport",
     "bruteforce_verdicts",
     "canonical_form",
     "canonicalize",
-    "clean_forms",
-    "cross",
-    "det3",
     "empty_forms",
-    "equivalent",
-    "extend_to_basis",
-    "extended_gcd3",
-    "floor_step",
-    "floor_step_support",
-    "frac_multiple",
-    "gcd_vec",
-    "is_clean_bruteforce",
     "is_clean_form",
-    "is_empty_bruteforce",
-    "is_primitive_pair",
-    "lattice_points_in",
-    "locate",
-    "normalize",
-    "parallelepiped_interior_bruteforce",
     "parallelepiped_interior_points",
-    "parallelogram_is_empty_bruteforce",
-    "random_unimodular_map",
     "satisfied_clause",
-    "satisfies_fraction_system",
-    "satisfies_step_system",
     "standard_tetrahedron",
-    "triangle_is_empty_bruteforce",
     "verify_coplanarity",
     "verify_floor_steps",
     "verify_normalization",

@@ -143,6 +143,11 @@ def _bounding_box(points) -> tuple[range, range, range]:
     )
 
 
+# Points the tetrahedron scan may visit per call, about 3 s of scanning:
+# past it the oracle refuses rather than running for hours.
+_MAX_SCAN_POINTS = 20_000_000
+
+
 def _points_in(t: Tetrahedron) -> Iterator[tuple[Vec3, int]]:
     """The tetrahedron scan core: every lattice point of the closed t.
 
@@ -152,13 +157,16 @@ def _points_in(t: Tetrahedron) -> Iterator[tuple[Vec3, int]]:
     rest of the boundary.  The inner loop is unrolled into incremental
     affine evaluations because the verification suites run it over
     millions of points; callers stop at the first point that decides.
+    Whole x-rows are scanned while the points so far stay within
+    _MAX_SCAN_POINTS; the row that would pass that budget raises ValueError.
     """
     total, ((n1, c1), (n2, c2), (n3, c3)) = _face_forms(t)
     n1x, n1y, n1z = n1
     n2x, n2y, n2z = n2
     n3x, n3y, n3z = n3
     xr, yr, zr = _bounding_box(t.vertices())
-    for x in xr:
+    row = len(yr) * len(zr)
+    for x in xr[: _MAX_SCAN_POINTS // row]:
         r1 = n1x * x + c1
         r2 = n2x * x + c2
         r3 = n3x * x + c3
@@ -180,6 +188,11 @@ def _points_in(t: Tetrahedron) -> Iterator[tuple[Vec3, int]]:
                 if d0 < 0:
                     continue
                 yield (x, y, z), (d0 == 0) + (d1 == 0) + (d2 == 0) + (d3 == 0)
+    if len(xr) * row > _MAX_SCAN_POINTS:
+        raise ValueError(
+            f"oracle scan exceeds its budget of {_MAX_SCAN_POINTS} lattice points "
+            f"(bounding box of {len(xr) * row} points)"
+        )
 
 
 def lattice_points_in(t: Tetrahedron) -> list[tuple[Vec3, PointLocation]]:
@@ -207,11 +220,6 @@ def bruteforce_verdicts(t: Tetrahedron) -> tuple[bool, bool]:
         elif zeros != 3:
             return False, False
     return empty, True
-
-
-def is_clean_bruteforce(t: Tetrahedron) -> bool:
-    """Oracle: no boundary lattice point besides the four vertices."""
-    return bruteforce_verdicts(t)[1]
 
 
 def _plane_coefficients(u: Vec3, v: Vec3) -> Vec3:

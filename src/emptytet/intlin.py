@@ -163,10 +163,6 @@ class AffineUnimodularMap:
         if d not in (1, -1):
             raise ValueError(f"matrix is not unimodular (det = {d})")
 
-    @classmethod
-    def identity(cls) -> AffineUnimodularMap:
-        return cls(IDENTITY, ZERO)
-
     def apply(self, p: Vec3) -> Vec3:
         return add(mat_vec(self.matrix, p), self.translation)
 

@@ -123,8 +123,3 @@ def canonicalize(t: Tetrahedron) -> NormalizationResult:
 def canonical_form(t: Tetrahedron) -> CanonicalForm:
     """Canonical form of t; equal forms characterize unimodular equivalence."""
     return canonicalize(t).form
-
-
-def equivalent(t1: Tetrahedron, t2: Tetrahedron) -> bool:
-    """Whether an affine unimodular map carries t1 onto t2."""
-    return canonical_form(t1) == canonical_form(t2)

@@ -178,6 +178,4 @@ def clean_forms(c: int) -> list[CanonicalForm]:
 
 def empty_forms(c: int) -> list[CanonicalForm]:
     """All empty forms with third parameter c, in lexicographic (a, b) order."""
-    if c < 1:
-        raise ValueError(f"c must be >= 1, got {c}")
     return [form for form in clean_forms(c) if white_empty(form)]

@@ -14,19 +14,16 @@ import pytest
 
 from emptytet import (
     CanonicalForm,
-    clean_forms,
     empty_forms,
-    is_empty_bruteforce,
-    parallelepiped_interior_bruteforce,
     parallelepiped_interior_points,
-    satisfies_fraction_system,
-    satisfies_step_system,
     standard_tetrahedron,
     verify_floor_steps,
     verify_normalization,
     verify_white,
     white_empty,
 )
+from emptytet.geometry import is_empty_bruteforce, parallelepiped_interior_bruteforce
+from emptytet.white import clean_forms, satisfies_fraction_system, satisfies_step_system
 
 C_MAX = 25
 FORM_COUNT = sum(c * c for c in range(1, C_MAX + 1))  # 5525

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -77,6 +78,16 @@ def test_classify_oracle_disagreement(run, monkeypatch):
     assert code == 1
     assert json.loads(out)["oracle"] == {"empty": False, "clean": False, "agrees": False}
     assert "oracle disagreement" in err
+
+
+def test_classify_oracle_refuses_huge_box(run):
+    # the bounding box holds about 10^12 lattice points
+    start = time.perf_counter()
+    code, out, err = run("classify", "0", "0", "0", "1", "0", "0", "0", "1", "0", "1000", "1000", "1000001", "--oracle")
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "budget of 20000000 lattice points" in err
 
 
 def test_classify_from_file(run, tmp_path):

@@ -151,7 +151,7 @@ def test_map_apply_frozen_cases():
     assert flip((1, 1, 2)) == (1, 1, -2)
     shear = AffineUnimodularMap(((1, 0, -2), (0, 1, -1), (0, 0, 1)))
     assert shear((5, 3, 2)) == (1, 1, 2)
-    ident = AffineUnimodularMap.identity()
+    ident = AffineUnimodularMap(IDENTITY)
     assert ident((9, -4, 7)) == (9, -4, 7)
 
 

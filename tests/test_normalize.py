@@ -9,12 +9,11 @@ from emptytet.geometry import (
     standard_tetrahedron,
     volume6,
 )
-from emptytet.intlin import AffineUnimodularMap, NotPrimitiveError
+from emptytet.intlin import IDENTITY, AffineUnimodularMap, NotPrimitiveError
 from emptytet.normalize import (
     NotNormalizableError,
     canonical_form,
     canonicalize,
-    equivalent,
     normalize,
 )
 from emptytet.verify import random_unimodular_map
@@ -24,7 +23,7 @@ DOUBLED_UNIT = Tetrahedron((0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2))
 
 
 def test_identity_roles_on_standard_forms():
-    ident = AffineUnimodularMap.identity()
+    ident = AffineUnimodularMap(IDENTITY)
     for c in range(1, 7):
         for a in range(c):
             for b in range(c):
@@ -83,16 +82,16 @@ def test_canonical_form_vertex_order_invariant():
 
 
 def test_equivalences():
-    assert equivalent(standard_tetrahedron(1, 2, 5), standard_tetrahedron(2, 1, 5))
-    assert equivalent(standard_tetrahedron(1, 3, 7), standard_tetrahedron(3, 1, 7))
-    assert not equivalent(standard_tetrahedron(1, 1, 2), standard_tetrahedron(1, 1, 3))
+    assert canonical_form(standard_tetrahedron(1, 2, 5)) == canonical_form(standard_tetrahedron(2, 1, 5))
+    assert canonical_form(standard_tetrahedron(1, 3, 7)) == canonical_form(standard_tetrahedron(3, 1, 7))
+    assert canonical_form(standard_tetrahedron(1, 1, 2)) != canonical_form(standard_tetrahedron(1, 1, 3))
 
 
 def test_not_normalizable():
     with pytest.raises(NotNormalizableError, match="not normalizable"):
         canonicalize(DOUBLED_UNIT)
     with pytest.raises(NotNormalizableError):
-        equivalent(DOUBLED_UNIT, standard_tetrahedron(1, 1, 2))
+        canonical_form(DOUBLED_UNIT)
 
 
 def test_non_clean_but_normalizable():
