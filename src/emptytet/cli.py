@@ -262,6 +262,11 @@ def _cmd_verify(args) -> int:
         names = [name for name in _SUITE_ORDER if name in requested]
     else:
         names = list(_SUITE_ORDER)
+    given = {"--trials": args.trials, "--seed": args.seed}
+    unused = [flag for flag, value in given.items() if value is not None]
+    if unused and "normalize" not in names:
+        what = " and ".join(unused)
+        raise ValueError(f"{what} would be ignored: the normalize suite is not selected")
     reports = []
     for name in names:
         report = _run_suite(name, args)

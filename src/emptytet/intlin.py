@@ -118,11 +118,6 @@ def transpose(m: Mat3) -> Mat3:
     )
 
 
-def columns_matrix(c0: Vec3, c1: Vec3, c2: Vec3) -> Mat3:
-    """Matrix with the given columns."""
-    return transpose((c0, c1, c2))
-
-
 def mat_vec(m: Mat3, p: Vec3) -> Vec3:
     return (dot(m[0], p), dot(m[1], p), dot(m[2], p))
 

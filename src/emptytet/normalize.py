@@ -1,18 +1,19 @@
 """Reduction of lattice tetrahedra to the standard form T(a, b, c).
 
 Any tetrahedron one of whose faces spans an empty triangle can be carried
-onto a standard form by an affine unimodular map, constructed in four
-steps for a chosen assignment of vertex roles (origin, e1, e2, apex):
+onto a standard form by an affine unimodular map p -> M (p - origin),
+whose rows are written once for a chosen assignment of vertex roles
+(origin, e1, e2, apex):
 
-1. translate the origin-role vertex to 0;
-2. the edge vectors u, v toward the e1/e2-role vertices form a primitive
-   pair exactly when that face is an empty triangle; complete them to a
-   lattice basis (u, v, w) of determinant +1 and apply its inverse, which
-   sends u, v to e1, e2 and the apex to some (A, B, c');
-3. if c' < 0, flip the z axis;
-4. shear whole multiples of the apex height out of A and B:
-   A = q1*c + a, B = q2*c + b with 0 <= a, b < c, via
-   (x, y, z) -> (x - q1*z, y - q2*z, z).
+1. the edge vectors u, v from the origin-role vertex toward the e1/e2-role
+   vertices form a primitive pair exactly when that face is an empty
+   triangle; complete them to a lattice basis (u, v, w) of determinant +1.
+   M starts as the inverse of (u | v | w), whose rows are cross(v, w),
+   cross(w, u), cross(u, v); it sends u, v to e1, e2 and the apex edge
+   to some (A, B, c');
+2. if c' < 0, negate the third row (a flip of the z axis);
+3. subtract q1 and q2 times the third row from the first two (a shear),
+   where A = q1*c + a, B = q2*c + b with 0 <= a, b < c.
 
 `canonicalize` runs this over all 24 role assignments and keeps the
 lexicographically smallest (c, a, b), giving a deterministic canonical
@@ -34,9 +35,8 @@ from .intlin import (
     ZERO,
     AffineUnimodularMap,
     NotPrimitiveError,
-    adjugate,
-    columns_matrix,
     cross,
+    dot,
     extend_to_basis,
     gcd_vec,
     mat_vec,
@@ -75,27 +75,26 @@ def normalize(t: Tetrahedron, roles: RoleAssignment = IDENTITY_ROLES) -> Normali
     origin = verts[roles[0]]
     u = sub(verts[roles[1]], origin)
     v = sub(verts[roles[2]], origin)
-    if gcd_vec(cross(u, v)) != 1:
+    n = cross(u, v)
+    if gcd_vec(n) != 1:
         raise NotPrimitiveError(f"face pair not primitive: roles {roles} of {verts}")
     w = extend_to_basis(u, v)
-    # The columns matrix (u | v | w) has determinant +1, so its adjugate is
-    # its exact inverse and sends u, v, w to e1, e2, e3.
-    to_std = adjugate(columns_matrix(u, v, w))
-    lmap = AffineUnimodularMap(to_std, neg(mat_vec(to_std, origin)))
-    ax, ay, az = lmap(verts[roles[3]])
-    if az < 0:
-        flip = AffineUnimodularMap(((1, 0, 0), (0, 1, 0), (0, 0, -1)))
-        lmap = flip.compose(lmap)
-        az = -az
-    q1, a = divmod(ax, az)
-    q2, b = divmod(ay, az)
-    if q1 or q2:
-        shear = AffineUnimodularMap(((1, 0, -q1), (0, 1, -q2), (0, 0, 1)))
-        lmap = shear.compose(lmap)
-    form = CanonicalForm(a, b, az)
+    # Rows of (u | v | w)^-1, then the z flip and the shear (module docstring).
+    apex = sub(verts[roles[3]], origin)
+    x_row, y_row = cross(v, w), cross(w, u)
+    z_row = n if dot(n, apex) > 0 else neg(n)
+    c = dot(z_row, apex)
+    q1, a = divmod(dot(x_row, apex), c)
+    q2, b = divmod(dot(y_row, apex), c)
+    rows = (
+        tuple(x - q1 * z for x, z in zip(x_row, z_row)),
+        tuple(y - q2 * z for y, z in zip(y_row, z_row)),
+        z_row,
+    )
+    lmap = AffineUnimodularMap(rows, neg(mat_vec(rows, origin)))
     image = {lmap(p) for p in verts}
-    assert image == {ZERO, E1, E2, (a, b, az)}, (t, roles, image)
-    return NormalizationResult(lmap, form)
+    assert image == {ZERO, E1, E2, (a, b, c)}, (t, roles, image)
+    return NormalizationResult(lmap, CanonicalForm(a, b, c))
 
 
 def canonicalize(t: Tetrahedron) -> NormalizationResult:

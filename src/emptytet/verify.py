@@ -72,9 +72,9 @@ class VerificationReport:
     def cases(self) -> int:
         return sum(t.passed + t.failed for t in self.tallies.values())
 
-    def to_dict(self, include_duration: bool = False) -> dict:
-        """Plain-data view; duration is opt-in so byte-stable consumers can skip it."""
-        out = {
+    def to_dict(self) -> dict:
+        """Plain-data view; duration is left out so the output is byte-stable."""
+        return {
             "suite": self.suite,
             "params": dict(self.params),
             "ok": self.ok,
@@ -85,9 +85,6 @@ class VerificationReport:
             },
             "counterexamples": list(self.counterexamples),
         }
-        if include_duration:
-            out["duration_seconds"] = self.duration_seconds
-        return out
 
 
 def verify_white(c_max: int = 25) -> VerificationReport:

@@ -177,5 +177,13 @@ def clean_forms(c: int) -> list[CanonicalForm]:
 
 
 def empty_forms(c: int) -> list[CanonicalForm]:
-    """All empty forms with third parameter c, in lexicographic (a, b) order."""
-    return [form for form in clean_forms(c) if white_empty(form)]
+    """All empty forms with third parameter c, in lexicographic (a, b) order.
+
+    For c > 1 White's criterion leaves T(1, k, c), T(k, 1, c) and
+    T(k, c - k, c) (a, b or d = 1) for k coprime to c, listed in O(c).
+    """
+    if c <= 1:
+        return clean_forms(c)  # [T(0, 0, 1)], or the c < 1 ValueError
+    units = [k for k in range(1, c) if math.gcd(k, c) == 1]
+    pairs = {p for k in units for p in ((1, k), (k, 1), (k, c - k))}
+    return [CanonicalForm(a, b, c) for a, b in sorted(pairs)]

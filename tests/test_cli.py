@@ -191,6 +191,15 @@ def test_enumerate_unit_volume(run):
     assert out.splitlines() == ["a b d clause", "0 0 0 c=1"]
 
 
+def test_enumerate_is_linear_in_c(run):
+    # a prime c > 2 has 3(c - 1) - 3 empty forms; listing them must not test all c^2
+    start = time.perf_counter()
+    code, out, _ = run("enumerate", "1009")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 3 * 1008 - 3
+
+
 def test_enumerate_rejects_nonpositive(run):
     code, _, err = run("enumerate", "0")
     assert code == 2
@@ -274,6 +283,17 @@ def test_verify_counterexample_exits_one(run, monkeypatch):
     assert code == 1
     assert "overall: FAIL" in out.splitlines()
     assert "  counterexample: empty_criterion_vs_oracle: planted" in out.splitlines()
+
+
+def test_verify_rejects_normalize_options_without_that_suite(run):
+    code, out, err = run("verify", "--suite", "white", "--max-c", "2", "--trials", "5")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --trials would be ignored: the normalize suite is not selected\n"
+    code, out, err = run("verify", "--suite", "fn", "--seed", "1", "--trials", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --trials and --seed would be ignored")
 
 
 def test_verify_rejects_unknown_suite(run):

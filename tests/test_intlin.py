@@ -13,7 +13,6 @@ from emptytet.intlin import (
     AffineUnimodularMap,
     NotPrimitiveError,
     adjugate,
-    columns_matrix,
     cross,
     det3,
     dot,
@@ -112,6 +111,8 @@ def test_extend_to_basis_exhaustive_small():
                 continue
             w = extend_to_basis(u, v)
             assert det3((u, v, w)) == 1, (u, v, w)
+            # the inverse of the columns matrix (u | v | w) that normalize writes
+            assert adjugate(transpose((u, v, w))) == (cross(v, w), cross(w, u), n)
             checked += 1
     assert checked > 1000
 
@@ -126,8 +127,6 @@ def test_extend_to_basis_errors():
 def test_matrix_helpers():
     m = ((1, 2, 3), (0, 1, 4), (5, 6, 0))
     assert transpose(transpose(m)) == m
-    assert columns_matrix(E1, E2, E3) == IDENTITY
-    assert columns_matrix((1, 0, 5), (2, 1, 6), (3, 4, 0)) == m
 
 
 def test_adjugate_identity_exhaustive():

@@ -45,6 +45,17 @@ def test_frozen_pipeline_flip_case():
     t = Tetrahedron((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, -2))
     res = normalize(t)
     assert res.form == CanonicalForm(1, 1, 2)
+    assert res.map.matrix == ((1, 0, 0), (0, 1, 0), (0, 0, -1))
+    assert res.map.translation == (0, 0, 0)
+
+
+def test_frozen_pipeline_flip_shear_translation_case():
+    t = Tetrahedron((3, -4, 9), (4, -4, 9), (3, -3, 9), (8, -1, 7))
+    res = normalize(t)
+    assert res.form == CanonicalForm(1, 1, 2)
+    # apex edge (5, 3, -2): flipped to height 2, then q1 = 2 and q2 = 1
+    assert res.map.matrix == ((1, 0, 2), (0, 1, 1), (0, 0, -1))
+    assert res.map.translation == (-21, -5, 9)
 
 
 def test_translation_is_removed():
