@@ -9,7 +9,6 @@ disagreement was found, 2 usage or input error.
 """
 
 import argparse
-import csv
 import json
 import sys
 
@@ -48,9 +47,24 @@ def _check_json_ints(obj) -> None:
             _check_json_ints(value)
 
 
-def _print_json(payload: dict) -> None:
+def _print_json(args, **fields) -> None:
+    """Print one JSON line: schema_version, then the subcommand, then fields."""
+    payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **fields}
     _check_json_ints(payload)
     print(json.dumps(payload, separators=(", ", ": ")))
+
+
+def _print_table(args, header, rows, text_header=True) -> None:
+    """Print rows comma-separated under --csv, else space-separated.
+
+    Every field is an int or a clause tag of satisfied_clause ("a=1",
+    "b=1", "c=1", "d=1"), so no CSV field ever needs quoting.
+    """
+    sep = "," if args.csv else " "
+    if args.csv or text_header:
+        print(sep.join(header))
+    for row in rows:
+        print(sep.join(map(str, row)))
 
 
 def _fmt_vec(p) -> str:
@@ -113,20 +127,18 @@ def _cmd_classify(args) -> int:
             "agrees": oracle_empty == empty and oracle_clean == clean,
         }
     if args.json:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "classify",
-            "vertices": [list(p) for p in t.vertices()],
-            "volume6": volume6(t),
-            "clean": clean,
-            "empty": empty,
-            "canonical_form": _form_payload(form) if form is not None else None,
-            "map": _map_payload(result.map) if result is not None else None,
-            "plane": plane,
-            "interior_points": [list(p) for p in interior] if interior is not None else None,
-            "oracle": oracle,
-        }
-        _print_json(payload)
+        _print_json(
+            args,
+            vertices=[list(p) for p in t.vertices()],
+            volume6=volume6(t),
+            clean=clean,
+            empty=empty,
+            canonical_form=_form_payload(form) if form is not None else None,
+            map=_map_payload(result.map) if result is not None else None,
+            plane=plane,
+            interior_points=[list(p) for p in interior] if interior is not None else None,
+            oracle=oracle,
+        )
     else:
         print("vertices:", " ".join(_fmt_vec(p) for p in t.vertices()))
         print("volume6:", volume6(t))
@@ -165,49 +177,30 @@ def _cmd_normalize(args) -> int:
     t = _read_tetrahedron(args)
     result = canonicalize(t)
     form = result.form
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "normalize",
-        "vertices": [list(p) for p in t.vertices()],
-        "form": _form_payload(form),
-        "map": _map_payload(result.map),
-        "image": [list(result.map(p)) for p in t.vertices()],
-    }
-    if args.check:
-        image = {result.map(p) for p in t.vertices()}
-        expected = {(0, 0, 0), (1, 0, 0), (0, 1, 0), (form.a, form.b, form.c)}
-        if image != expected:
-            print(f"check failed: map sends vertices to {sorted(image)}", file=sys.stderr)
-            return 1
-        payload["check"] = "ok"
-    _print_json(payload)
+    image = [result.map(p) for p in t.vertices()]
+    expected = {(0, 0, 0), (1, 0, 0), (0, 1, 0), (form.a, form.b, form.c)}
+    if args.check and set(image) != expected:
+        print(f"check failed: map sends vertices to {sorted(image)}", file=sys.stderr)
+        return 1
+    _print_json(
+        args,
+        vertices=[list(p) for p in t.vertices()],
+        form=_form_payload(form),
+        map=_map_payload(result.map),
+        image=[list(p) for p in image],
+        **({"check": "ok"} if args.check else {}),
+    )
     return 0
 
 
 def _cmd_enumerate(args) -> int:
-    forms = empty_forms(args.c)
-    rows = [
-        {"a": f.a, "b": f.b, "d": f.d, "clause": satisfied_clause(f)} for f in forms
-    ]
+    header = ("a", "b", "d", "clause")
+    rows = [(f.a, f.b, f.d, satisfied_clause(f)) for f in empty_forms(args.c)]
     if args.json:
-        _print_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "enumerate",
-                "c": args.c,
-                "count": len(rows),
-                "forms": rows,
-            }
-        )
-    elif args.csv:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["a", "b", "d", "clause"])
-        for row in rows:
-            writer.writerow([row["a"], row["b"], row["d"], row["clause"]])
+        forms = [dict(zip(header, row)) for row in rows]
+        _print_json(args, c=args.c, count=len(rows), forms=forms)
     else:
-        print("a b d clause")
-        for row in rows:
-            print(row["a"], row["b"], row["d"], row["clause"])
+        _print_table(args, header, rows)
     return 0
 
 
@@ -215,24 +208,10 @@ def _cmd_points(args) -> int:
     points = parallelepiped_interior_points(args.a, args.b, args.c)
     if args.json:
         _print_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "points",
-                "a": args.a,
-                "b": args.b,
-                "c": args.c,
-                "count": len(points),
-                "points": [list(p) for p in points],
-            }
+            args, a=args.a, b=args.b, c=args.c, count=len(points), points=[list(p) for p in points]
         )
-    elif args.csv:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["x", "y", "z"])
-        for p in points:
-            writer.writerow(list(p))
     else:
-        for p in points:
-            print(p[0], p[1], p[2])
+        _print_table(args, ("x", "y", "z"), points, text_header=False)
     return 0
 
 
@@ -274,14 +253,7 @@ def _cmd_verify(args) -> int:
         print(f"# suite {name}: {report.duration_seconds:.2f}s", file=sys.stderr)
     ok = all(report.ok for report in reports)
     if args.json:
-        _print_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "verify",
-                "ok": ok,
-                "reports": [report.to_dict() for report in reports],
-            }
-        )
+        _print_json(args, ok=ok, reports=[report.to_dict() for report in reports])
     else:
         for report in reports:
             params = " ".join(f"{k}={v}" for k, v in report.params.items())
@@ -306,6 +278,12 @@ def _add_vertex_arguments(sub) -> None:
         help="12 integers: x y z for each of the four vertices",
     )
     sub.add_argument("--file", help="read the 12 integers from a file (one vertex per line)")
+
+
+def _add_format_arguments(sub) -> None:
+    fmt = sub.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true", help="emit JSON")
+    fmt.add_argument("--csv", action="store_true", help="emit CSV")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,9 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fourth parameter d and the unit-parameter clause that applies.",
     )
     p.add_argument("c", type=int, help="the third parameter (six times the volume)")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="emit JSON")
-    fmt.add_argument("--csv", action="store_true", help="emit CSV")
+    _add_format_arguments(p)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser(
@@ -368,9 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     p.add_argument("c", type=int)
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="emit JSON")
-    fmt.add_argument("--csv", action="store_true", help="emit CSV")
+    _add_format_arguments(p)
     p.set_defaults(func=_cmd_points)
 
     p = sub.add_parser(

@@ -98,18 +98,19 @@ def verify_white(c_max: int = 25) -> VerificationReport:
         for a in range(c):
             for b in range(c):
                 form = CanonicalForm(a, b, c)
+                empty, clean = white_empty(form), is_clean_form(form)
                 empty_oracle, clean_oracle = bruteforce_verdicts(
                     standard_tetrahedron(a, b, c)
                 )
                 report.record(
                     "empty_criterion_vs_oracle",
-                    white_empty(form) == empty_oracle,
-                    f"T({a},{b},{c}): criterion {white_empty(form)}, oracle {empty_oracle}",
+                    empty == empty_oracle,
+                    f"T({a},{b},{c}): criterion {empty}, oracle {empty_oracle}",
                 )
                 report.record(
                     "clean_criterion_vs_oracle",
-                    is_clean_form(form) == clean_oracle,
-                    f"T({a},{b},{c}): criterion {is_clean_form(form)}, oracle {clean_oracle}",
+                    clean == clean_oracle,
+                    f"T({a},{b},{c}): criterion {clean}, oracle {clean_oracle}",
                 )
     report.duration_seconds = time.perf_counter() - start
     return report

@@ -56,6 +56,47 @@ def test_classify_json(run):
     assert out == json.dumps(payload, separators=(", ", ": ")) + "\n"
 
 
+# Exact bytes of one payload per command: key order included, with
+# schema_version and command always first.
+JSON_PAYLOADS = [
+    (
+        ["enumerate", "2"],
+        '{"schema_version": 1, "command": "enumerate", "c": 2, "count": 1, '
+        '"forms": [{"a": 1, "b": 1, "d": 1, "clause": "a=1"}]}',
+    ),
+    (
+        ["points", "1", "1", "5"],
+        '{"schema_version": 1, "command": "points", "a": 1, "b": 1, "c": 5, "count": 4, '
+        '"points": [[1, 1, 1], [1, 1, 2], [1, 1, 3], [1, 1, 4]]}',
+    ),
+    (
+        ["classify", *T115],
+        '{"schema_version": 1, "command": "classify", '
+        '"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 5]], "volume6": 5, '
+        '"clean": true, "empty": true, "canonical_form": {"a": 1, "b": 1, "c": 5, "d": 4}, '
+        '"map": {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "translation": [0, 0, 0]}, '
+        '"plane": "x=1", "interior_points": [[1, 1, 1], [1, 1, 2], [1, 1, 3], [1, 1, 4]], '
+        '"oracle": null}',
+    ),
+    (
+        ["verify", "--suite", "fn", "--max-c", "3"],
+        '{"schema_version": 1, "command": "verify", "ok": true, "reports": [{"suite": "fn", '
+        '"params": {"c_max": 3}, "ok": true, "cases": 7, "checks": '
+        '{"unit_slope_empty_support": {"passed": 2, "failed": 0}, '
+        '"complement_identity": {"passed": 3, "failed": 0}, '
+        '"support_closed_form": {"passed": 1, "failed": 0}, '
+        '"support_size": {"passed": 1, "failed": 0}}, "counterexamples": []}]}',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", JSON_PAYLOADS, ids=[argv[0] for argv, _ in JSON_PAYLOADS])
+def test_json_payload_bytes(run, argv, expected):
+    code, out, _ = run(*argv, "--json")
+    assert code == 0
+    assert out == expected + "\n"
+
+
 def test_classify_not_normalizable(run):
     code, out, _ = run("classify", *DOUBLED_UNIT)
     assert code == 0
@@ -198,6 +239,16 @@ def test_enumerate_is_linear_in_c(run):
     assert time.perf_counter() - start < 1.0
     assert code == 0
     assert len(out.splitlines()) == 1 + 3 * 1008 - 3
+
+
+def test_enumerate_refuses_c_past_the_budget(run):
+    # about 3 * 10^20 forms: refused before any is built
+    start = time.perf_counter()
+    code, out, err = run("enumerate", "99999999999999999999")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "budget of c <= 100000" in err
 
 
 def test_enumerate_rejects_nonpositive(run):

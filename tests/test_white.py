@@ -5,6 +5,7 @@ import pytest
 
 from emptytet.geometry import is_empty_bruteforce, standard_tetrahedron
 from emptytet.white import (
+    _MAX_ENUMERATE_C,
     CanonicalForm,
     clean_forms,
     empty_forms,
@@ -163,6 +164,19 @@ def test_floor_step_preconditions():
         floor_step(2, 5, 4)
 
 
+def test_floor_step_support_preconditions():
+    # the (n, c) checks of floor_step, with the same messages
+    for n, c, message in (
+        (0, 5, "need 0 < n < c, got n=0, c=5"),
+        (5, 5, "need 0 < n < c, got n=5, c=5"),
+        (2, 4, "need gcd(n, c) = 1, got n=2, c=4"),
+    ):
+        for call in (lambda: floor_step_support(n, c), lambda: floor_step(n, c, 1)):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == message
+
+
 def test_floor_step_zero_or_one():
     for c in range(3, 41):
         for n in coprime_range(c):
@@ -220,6 +234,12 @@ def test_enumerators_frozen():
     assert [(f.a, f.b) for f in empty_forms(2)] == [(1, 1)]
     assert [(f.a, f.b) for f in empty_forms(3)] == [(1, 1), (1, 2), (2, 1)]
     assert CanonicalForm(2, 2, 3) not in clean_forms(3)
+
+
+def test_empty_forms_budget():
+    assert len(empty_forms(_MAX_ENUMERATE_C)) == 119997  # 100000 = 2^5 * 5^5: 3 * phi(c) - 3
+    with pytest.raises(ValueError, match="budget of c <= 100000"):
+        empty_forms(_MAX_ENUMERATE_C + 1)
 
 
 def test_enumerators_consistent():
