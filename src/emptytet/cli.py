@@ -215,40 +215,29 @@ def _cmd_points(args) -> int:
     return 0
 
 
-def _run_suite(name: str, args):
-    if name == "white":
-        return verify_white(**_given(c_max=args.max_c))
-    if name == "coplanar":
-        return verify_coplanarity(**_given(c_max=args.max_c))
-    if name == "fn":
-        return verify_floor_steps(**_given(c_max=args.max_c))
-    return verify_normalization(
-        **_given(trials=args.trials, seed=args.seed, c_max=args.max_c)
-    )
-
-
-def _given(**kwargs) -> dict:
-    """Only explicitly provided options; absent ones keep suite defaults."""
-    return {key: value for key, value in kwargs.items() if value is not None}
-
-
-_SUITE_ORDER = ("white", "coplanar", "fn", "normalize")
+def _suites() -> dict:
+    """Suite name -> function, in run order.  Built from the module globals
+    on every call, so a function replaced there is the one that runs."""
+    return {
+        "white": verify_white,
+        "coplanar": verify_coplanarity,
+        "fn": verify_floor_steps,
+        "normalize": verify_normalization,
+    }
 
 
 def _cmd_verify(args) -> int:
-    if args.suite:
-        requested = set(args.suite)
-        names = [name for name in _SUITE_ORDER if name in requested]
-    else:
-        names = list(_SUITE_ORDER)
-    given = {"--trials": args.trials, "--seed": args.seed}
-    unused = [flag for flag, value in given.items() if value is not None]
-    if unused and "normalize" not in names:
-        what = " and ".join(unused)
+    suites = {name: run for name, run in _suites().items() if not args.suite or name in args.suite}
+    # Only verify_normalization takes --trials and --seed.
+    given = {"trials": args.trials, "seed": args.seed}
+    extra = {key: value for key, value in given.items() if value is not None}
+    if extra and verify_normalization not in suites.values():
+        what = " and ".join(f"--{key}" for key in extra)
         raise ValueError(f"{what} would be ignored: the normalize suite is not selected")
+    c_max = {} if args.max_c is None else {"c_max": args.max_c}
     reports = []
-    for name in names:
-        report = _run_suite(name, args)
+    for name, run in suites.items():
+        report = run(**c_max, **(extra if run is verify_normalization else {}))
         reports.append(report)
         print(f"# suite {name}: {report.duration_seconds:.2f}s", file=sys.stderr)
     ok = all(report.ok for report in reports)
@@ -357,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite",
         action="append",
-        choices=_SUITE_ORDER,
+        choices=list(_suites()),
         help="suite to run (repeatable; default: all)",
     )
     p.add_argument("--max-c", type=int, help="largest c to sweep")

@@ -34,7 +34,7 @@ from .intlin import (
     neg,
     sub,
 )
-from .white import CanonicalForm
+from .white import _MAX_ENUMERATE_C, CanonicalForm
 
 
 class DegenerateTetrahedronError(ValueError):
@@ -284,9 +284,12 @@ def parallelepiped_interior_points(a: int, b: int, c: int) -> list[Vec3]:
     where <.> is the fractional part.  Each coordinate is assembled over
     the common denominator c and asserted integral rather than assumed.
     Requires gcd(a, c) = gcd(b, c) = 1; otherwise some of these points
-    would degenerate onto the boundary.
+    would degenerate onto the boundary.  Raises ValueError for
+    c > white._MAX_ENUMERATE_C, the budget of both O(c) listings.
     """
     CanonicalForm(a, b, c)  # validates types and ranges
+    if c > _MAX_ENUMERATE_C:
+        raise ValueError(f"interior-point listing exceeds its budget of c <= {_MAX_ENUMERATE_C}, got c = {c}")
     if math.gcd(a, c) != 1 or math.gcd(b, c) != 1:
         raise ValueError(
             f"need gcd(a, c) = gcd(b, c) = 1, got a={a}, b={b}, c={c}"

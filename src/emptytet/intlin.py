@@ -170,9 +170,3 @@ class AffineUnimodularMap:
             add(mat_vec(self.matrix, other.translation), self.translation),
         )
 
-    def invert(self) -> AffineUnimodularMap:
-        """Exact inverse; integral because det = +-1 makes adjugate/det exact."""
-        adj = adjugate(self.matrix)
-        if det3(self.matrix) == -1:
-            adj = (neg(adj[0]), neg(adj[1]), neg(adj[2]))
-        return AffineUnimodularMap(adj, neg(mat_vec(adj, self.translation)))

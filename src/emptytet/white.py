@@ -177,9 +177,10 @@ def clean_forms(c: int) -> list[CanonicalForm]:
     ]
 
 
-# Largest c that empty_forms lists: the prime 99991 gives 299970 forms,
-# 3 to 4 s and up to 160 MB of `emptytet enumerate` on a 2-core VM; past
-# it the listing refuses rather than filling memory.
+# Largest c that empty_forms and geometry.parallelepiped_interior_points
+# list: the prime 99991 gives 299970 forms, 3 to 4 s and up to 160 MB of
+# `emptytet enumerate` on a 2-core VM; past it a listing refuses rather
+# than filling memory.
 _MAX_ENUMERATE_C = 100_000
 
 

@@ -291,6 +291,26 @@ def test_points_rejects_common_factor(run):
     assert "error:" in err
 
 
+def test_points_refuses_c_past_the_budget(run):
+    # 10^11 - 1 points: refused before any is built
+    start = time.perf_counter()
+    code, out, err = run("points", "1", "1", "100000000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == "error: interior-point listing exceeds its budget of c <= 100000, got c = 100000000000\n"
+
+
+def test_classify_refuses_interior_listing_past_the_budget(run):
+    # T(1, 1, 10^11) is empty, so classify would list its 10^11 - 1 points
+    start = time.perf_counter()
+    code, out, err = run("classify", "0", "0", "0", "1", "0", "0", "0", "1", "0", "1", "1", "100000000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "budget of c <= 100000" in err
+
+
 def test_verify_single_suite_text(run):
     code, out, err = run("verify", "--suite", "white", "--max-c", "6")
     assert code == 0
@@ -357,6 +377,32 @@ def test_verify_rejects_bad_max_c(run):
     code, _, err = run("verify", "--suite", "white", "--max-c", "0")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "suites, budget",
+    [
+        (["white"], "the white suite exceeds its budget of c_max <= 30"),
+        (["coplanar"], "the coplanar suite exceeds its budget of c_max <= 35"),
+        (["fn"], "the fn suite exceeds its budget of c_max <= 200"),
+        (["normalize"], "the normalize suite exceeds its budget of c_max <= 1000"),
+        # a suite within its budget runs first; the budgets grow in run order
+        (["normalize", "coplanar"], "the coplanar suite exceeds its budget of c_max <= 35"),
+        ([], "the white suite exceeds its budget of c_max <= 30"),
+    ],
+)
+def test_verify_refuses_max_c_past_a_suite_budget(run, suites, budget):
+    caps = {"white": 30, "coplanar": 35, "fn": 200, "normalize": 1000}
+    for max_c in (min(caps[s] for s in suites or caps) + 1, 10**20):
+        argv = ["verify", "--max-c", str(max_c)]
+        for suite in suites:
+            argv += ["--suite", suite]
+        start = time.perf_counter()
+        code, out, err = run(*argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {budget}, got c_max = {max_c}\n"
 
 
 def test_help_exits_zero(run):

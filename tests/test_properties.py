@@ -1,12 +1,17 @@
-"""Property test of cli.main over argv drawn from the CLI's grammar.
+"""Property tests: cli.main over argv drawn from the CLI's grammar, and
+the invariance of the verdicts under random unimodular maps.
 
 Whatever the argv, main returns 0, 1 or 2 without letting an exception
 escape, and an exit 2 that argparse did not produce explains itself with
-an `error: ` line on stderr.
+an `error: ` line on stderr.  Whatever the map, the image of T(a, b, c)
+is normalizable exactly when T is, with the same canonical form and the
+same oracle verdicts.
 """
 
 import contextlib
+import functools
 import io
+import random
 
 import pytest
 
@@ -14,6 +19,9 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from emptytet.cli import main  # noqa: E402
+from emptytet.geometry import Tetrahedron, bruteforce_verdicts, standard_tetrahedron  # noqa: E402
+from emptytet.normalize import NotNormalizableError, canonical_form  # noqa: E402
+from emptytet.verify import _C_MAX_RANGE, random_unimodular_map  # noqa: E402
 from emptytet.white import _MAX_ENUMERATE_C  # noqa: E402
 
 # Flags that are bogus everywhere, or that some subcommands reject.
@@ -45,15 +53,18 @@ def enumerate_argv(draw):
 
 @st.composite
 def points_argv(draw):
-    abc = draw(st.lists(ints(-3, 60), min_size=3, max_size=3))
+    ab = draw(st.lists(ints(-3, 60), min_size=2, max_size=2))
+    c = draw(st.one_of(ints(-3, 60), ints(_MAX_ENUMERATE_C + 1, 10**30)))
     fmt = draw(st.lists(st.sampled_from(["--json", "--csv"]), max_size=2))
-    return ["points", *tokens(abc), *fmt]
+    return ["points", *tokens(ab), str(c), *fmt]
 
 
 @st.composite
 def verify_argv(draw):
-    suites = draw(st.lists(st.sampled_from(["white", "coplanar", "fn", "normalize"]), max_size=2))
-    argv = ["verify", "--max-c", str(draw(ints(-1, 4)))]
+    suites = draw(st.lists(st.sampled_from(list(_C_MAX_RANGE)), max_size=2))
+    # Past the smallest budget of the suites drawn, the first suite run refuses.
+    budget = min(_C_MAX_RANGE[suite][1] for suite in suites or _C_MAX_RANGE)
+    argv = ["verify", "--max-c", str(draw(st.one_of(ints(-1, 4), ints(budget + 1, 10**30))))]
     for suite in suites:
         argv += ["--suite", suite]
     if not suites or "normalize" in suites:
@@ -91,3 +102,33 @@ def test_main_exits_cleanly(argv):
     stderr = err.getvalue()
     if code == 2 and not stderr.startswith("usage: "):
         assert stderr.splitlines()[-1].startswith("error: "), (argv, stderr)
+
+
+def form_and_verdicts(t):
+    """(canonical form, or None if t is not normalizable; oracle verdicts)."""
+    try:
+        form = canonical_form(t)
+    except NotNormalizableError:
+        form = None
+    return form, bruteforce_verdicts(t)
+
+
+@functools.cache
+def standard_form_and_verdicts(abc):
+    return form_and_verdicts(standard_tetrahedron(*abc))
+
+
+FORMS = [(a, b, c) for c in range(1, 13) for a in range(c) for b in range(c)]
+
+
+@hypothesis.settings(max_examples=6, deadline=None, database=None)
+@hypothesis.given(ints(0, 2**32))
+def test_unimodular_images_keep_form_and_verdicts(seed):
+    # Short products with small shears keep each image's bounding box far
+    # below the oracle's scan budget; the image's vertices are listed in a
+    # random order, so no vertex role is preserved by construction.
+    rng = random.Random(seed)
+    for abc in FORMS:
+        scramble = random_unimodular_map(rng, min_factors=3, max_factors=6, shear_bound=2, translation_bound=3)
+        image = Tetrahedron(*rng.sample(standard_tetrahedron(*abc).transformed(scramble).vertices(), 4))
+        assert form_and_verdicts(image) == standard_form_and_verdicts(abc), (abc, scramble)

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from emptytet.cli import _suites
 from emptytet.intlin import det3
 from emptytet.verify import (
+    _C_MAX_RANGE,
     VerificationReport,
     random_unimodular_map,
     verify_coplanarity,
@@ -96,6 +98,17 @@ def test_parameter_validation():
         verify_normalization(trials=0)
     with pytest.raises(ValueError):
         verify_normalization(trials=5, c_max=0)
+
+
+def test_c_max_budgets():
+    # Every budget covers the ranges the tests, README and benchmark sweep,
+    # and the budgets grow in the CLI's run order, so the first suite run
+    # is the one that refuses a c_max past any selected suite's budget.
+    assert list(_C_MAX_RANGE) == list(_suites())
+    budgets = [high for _, high in _C_MAX_RANGE.values()]
+    assert budgets == sorted(budgets)
+    for suite, used in {"white": 25, "coplanar": 25, "fn": 100, "normalize": 10}.items():
+        assert _C_MAX_RANGE[suite][1] >= used
 
 
 def test_random_unimodular_map_properties():
