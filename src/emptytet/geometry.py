@@ -1,11 +1,13 @@
 """Lattice tetrahedra, exact point location, and brute-force lattice-point oracles.
 
 Every predicate is decided by signs of integer determinants; there is no
-floating point and no division except exact ones guarded by asserts.  The
-*_bruteforce functions scan an integer bounding box and serve as ground
-truth for the fast number-theoretic criteria in `white`.  Two scan cores
-do the scanning: `_points_in` walks a tetrahedron's box and yields its
-lattice points, and `_plane_region_is_empty` walks the box of a triangle
+floating point, and the only divisions are integer floor divisions and
+exact ones guarded by asserts.  The *_bruteforce functions scan an integer
+bounding box and serve as ground truth for the fast number-theoretic
+criteria in `white`.  Two scan cores do the scanning: `_points_in` solves
+the z-interval each (x, y) row of a tetrahedron's box has inside it and
+yields the lattice points there, without visiting the rest of the box
+point by point, and `_plane_region_is_empty` walks the box of a triangle
 or parallelogram in a lattice plane.
 
 A tetrahedron is *empty* when its only lattice points are its four
@@ -143,9 +145,27 @@ def _bounding_box(points) -> tuple[range, range, range]:
     )
 
 
-# Points the tetrahedron scan may visit per call, about 3 s of scanning:
-# past it the oracle refuses rather than running for hours.
+# Lattice points in the tetrahedron's bounding box that the scan accepts
+# per call: past it the oracle refuses rather than running for hours.  On
+# a 2-core VM with Python 3.11, full boxes of 20M points around thin
+# tetrahedra took 0.03 s when cube-shaped, 1.5 s when 5 points deep in z
+# and 4.0 s when 2 deep with a shadow of 5M rows, the slowest shape.
 _MAX_SCAN_POINTS = 20_000_000
+
+
+def _solve(forms, first: int, last: int) -> range:
+    """The integers v in first..last with b + s*v >= 0 for every (b, s) in
+    forms: a rising form bounds v below, a falling one above, and a
+    constant negative one leaves none."""
+    lo, hi = first, last
+    for b, s in forms:
+        if s > 0:
+            lo = max(lo, -(b // s))
+        elif s < 0:
+            hi = min(hi, b // -s)
+        elif b < 0:
+            return range(0)
+    return range(lo, hi + 1)
 
 
 def _points_in(t: Tetrahedron) -> Iterator[tuple[Vec3, int]]:
@@ -154,40 +174,52 @@ def _points_in(t: Tetrahedron) -> Iterator[tuple[Vec3, int]]:
     Yields (p, zeros) in lexicographic (x, y, z) order over the integer
     bounding box of the vertices, where zeros is the number of face forms
     vanishing at p: 0 for interior points, 3 for vertices, 1 or 2 for the
-    rest of the boundary.  The inner loop is unrolled into incremental
-    affine evaluations because the verification suites run it over
-    millions of points; callers stop at the first point that decides.
-    Whole x-rows are scanned while the points so far stay within
-    _MAX_SCAN_POINTS; the row that would pass that budget raises ValueError.
+    rest of the boundary.  The box is not visited point by point.  For
+    each x, the y-range of t's shadow on the xy-plane is solved exactly
+    from the forms that eliminating z leaves; for each (x, y) row in it,
+    the z-interval where all four face forms d0..d3 are >= 0 is solved the
+    same way, and only its points are visited.  So a scan costs the box's
+    x-extent plus the shadow's rows plus t's points; callers stop at the
+    first point that decides.  Whole x-rows are scanned while the box
+    points so far stay within _MAX_SCAN_POINTS; the row that would pass
+    that budget raises ValueError.
     """
     total, ((n1, c1), (n2, c2), (n3, c3)) = _face_forms(t)
-    n1x, n1y, n1z = n1
-    n2x, n2y, n2z = n2
-    n3x, n3y, n3z = n3
+    forms = ((neg(add(add(n1, n2), n3)), total - c1 - c2 - c3), (n1, c1), (n2, c2), (n3, c3))
+    # Fourier-Motzkin: t's shadow is where every z-free form, and every
+    # positive combination of a rising and a falling form that cancels z,
+    # is >= 0.  Each is kept as (x, y, constant) coefficients.
+    shadow = []
+    for (ax, ay, az), ak in forms:
+        if az == 0:
+            shadow.append((ax, ay, ak))
+        elif az > 0:
+            for (bx, by, bz), bk in forms:
+                if bz < 0:
+                    shadow.append((az * bx - bz * ax, az * by - bz * ay, az * bk - bz * ak))
     xr, yr, zr = _bounding_box(t.vertices())
+    z_first, z_last = zr[0], zr[-1]
     row = len(yr) * len(zr)
     for x in xr[: _MAX_SCAN_POINTS // row]:
-        r1 = n1x * x + c1
-        r2 = n2x * x + c2
-        r3 = n3x * x + c3
-        for y in yr:
-            b1 = r1 + n1y * y
-            b2 = r2 + n2y * y
-            b3 = r3 + n3y * y
-            for z in zr:
-                d1 = b1 + n1z * z
-                if d1 < 0:
-                    continue
-                d2 = b2 + n2z * z
-                if d2 < 0:
-                    continue
-                d3 = b3 + n3z * z
-                if d3 < 0:
-                    continue
-                d0 = total - d1 - d2 - d3
-                if d0 < 0:
-                    continue
-                yield (x, y, z), (d0 == 0) + (d1 == 0) + (d2 == 0) + (d3 == 0)
+        at_x = [(nx * x + k, ny, nz) for (nx, ny, nz), k in forms]
+        for y in _solve([(ax * x + k, ay) for ax, ay, k in shadow], yr[0], yr[-1]):
+            # _solve for z, inlined because it runs once per row; the
+            # z-free forms are >= 0 on the whole shadow.
+            lo, hi = z_first, z_last
+            for r, ny, nz in at_x:
+                if nz > 0:
+                    q = -((r + ny * y) // nz)
+                    if q > lo:
+                        lo = q
+                elif nz < 0:
+                    q = (r + ny * y) // -nz
+                    if q < hi:
+                        hi = q
+            for z in range(lo, hi + 1):
+                zeros = 0
+                for r, ny, nz in at_x:
+                    zeros += r + ny * y + nz * z == 0
+                yield (x, y, z), zeros
     if len(xr) * row > _MAX_SCAN_POINTS:
         raise ValueError(
             f"oracle scan exceeds its budget of {_MAX_SCAN_POINTS} lattice points "

@@ -149,12 +149,46 @@ def test_lattice_points_lex_order_and_locations():
     assert any(loc == PointLocation.INTERIOR for _, loc in pts)
     for p, loc in pts:
         assert locate(t, p) == loc
-    # Against the independent Fraction oracle, on tetrahedra with negative
-    # coordinates and with a negatively oriented vertex order.
-    for t in LOCATE_CASES:
+
+
+# A face through (0, 0, 0), (0, 0, 1) and (2, 1, 0) is parallel to the z
+# axis: its form x - 2y has no z term, and the box rows with x > 2y lie
+# wholly outside it.  The second case lists the same vertices in a
+# negatively oriented order; the third is a long thin one whose box rows
+# mostly miss it.
+ROW_CASES = [
+    Tetrahedron((0, 0, 0), (0, 0, 1), (2, 1, 0), (0, 1, 0)),
+    Tetrahedron((0, 0, 1), (0, 0, 0), (2, 1, 0), (0, 1, 0)),
+    Tetrahedron((-1, 2, -3), (0, 2, -3), (-1, 3, -3), (2, 7, 8)),
+]
+
+
+def test_lattice_points_match_fraction_oracle():
+    rng = random.Random(47)
+    sample = []
+    while len(sample) < 100:
+        try:
+            sample.append(Tetrahedron(*(tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(4))))
+        except DegenerateTetrahedronError:
+            pass
+    forms = [standard_tetrahedron(a, b, c) for c in range(1, 9) for a in range(c) for b in range(c)]
+    kinds = set()
+    for t in LOCATE_CASES + ROW_CASES + sample + forms:
         want = [(p, locate_oracle(t, p)) for p in box_points(t)]
         want = [(p, loc) for p, loc in want if loc != PointLocation.OUTSIDE]
-        assert lattice_points_in(t) == want, t
+        got = lattice_points_in(t)
+        assert got == want, t
+        verts = t.vertices()
+        for i in range(4):
+            a, b, c = verts[:i] + verts[i + 1 :]
+            if cross(sub(b, a), sub(c, a))[2] == 0:
+                kinds.add("face parallel to z")
+        if det3(t.edge_vectors()) < 0:
+            kinds.add("negative orientation")
+        xs, ys = {v[0] for v in verts}, {v[1] for v in verts}
+        if len({p[:2] for p, _ in got}) < (max(xs) - min(xs) + 1) * (max(ys) - min(ys) + 1):
+            kinds.add("row missing t")
+    assert len(kinds) == 3
 
 
 def test_oracles_stop_at_first_deciding_point():

@@ -21,7 +21,7 @@ st = hypothesis.strategies
 from emptytet.cli import main  # noqa: E402
 from emptytet.geometry import Tetrahedron, bruteforce_verdicts, standard_tetrahedron  # noqa: E402
 from emptytet.normalize import NotNormalizableError, canonical_form  # noqa: E402
-from emptytet.verify import _C_MAX_RANGE, random_unimodular_map  # noqa: E402
+from emptytet.verify import _C_MAX_RANGE, _MAX_TRIALS, random_unimodular_map  # noqa: E402
 from emptytet.white import _MAX_ENUMERATE_C  # noqa: E402
 
 # Flags that are bogus everywhere, or that some subcommands reject.
@@ -68,7 +68,7 @@ def verify_argv(draw):
     for suite in suites:
         argv += ["--suite", suite]
     if not suites or "normalize" in suites:
-        argv += ["--trials", str(draw(ints(-1, 20)))]
+        argv += ["--trials", str(draw(st.one_of(ints(-1, 20), ints(_MAX_TRIALS + 1, 10**30))))]
         if draw(st.booleans()):
             argv += ["--seed", str(draw(ints(-5, 5)))]
     if draw(st.booleans()):

@@ -6,6 +6,7 @@ from emptytet.cli import _suites
 from emptytet.intlin import det3
 from emptytet.verify import (
     _C_MAX_RANGE,
+    _MAX_TRIALS,
     VerificationReport,
     random_unimodular_map,
     verify_coplanarity,
@@ -98,6 +99,8 @@ def test_parameter_validation():
         verify_normalization(trials=0)
     with pytest.raises(ValueError):
         verify_normalization(trials=5, c_max=0)
+    with pytest.raises(ValueError, match="budget of trials <= 7000"):
+        verify_normalization(trials=_MAX_TRIALS + 1)
 
 
 def test_c_max_budgets():
