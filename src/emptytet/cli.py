@@ -20,6 +20,7 @@ from .geometry import (
 )
 from .normalize import NotNormalizableError, canonicalize
 from .verify import (
+    _check_trials,
     verify_coplanarity,
     verify_floor_steps,
     verify_normalization,
@@ -234,6 +235,8 @@ def _cmd_verify(args) -> int:
     if extra and verify_normalization not in suites.values():
         what = " and ".join(f"--{key}" for key in extra)
         raise ValueError(f"{what} would be ignored: the normalize suite is not selected")
+    if args.trials is not None:
+        _check_trials(args.trials)
     c_max = {} if args.max_c is None else {"c_max": args.max_c}
     reports = []
     for name, run in suites.items():

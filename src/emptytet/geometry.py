@@ -4,11 +4,12 @@ Every predicate is decided by signs of integer determinants; there is no
 floating point, and the only divisions are integer floor divisions and
 exact ones guarded by asserts.  The *_bruteforce functions scan an integer
 bounding box and serve as ground truth for the fast number-theoretic
-criteria in `white`.  Two scan cores do the scanning: `_points_in` solves
-the z-interval each (x, y) row of a tetrahedron's box has inside it and
-yields the lattice points there, without visiting the rest of the box
-point by point, and `_plane_region_is_empty` walks the box of a triangle
-or parallelogram in a lattice plane.
+criteria in `white`.  One scan core does all the scanning: `_points_in`
+takes a polytope as affine forms that are >= 0 on it (the four faces of a
+tetrahedron; a triangle or parallelogram in a lattice plane; the strict
+sides of a parallelepiped) and yields its lattice points, solving the
+interval each (x, y) row of the box has inside it rather than visiting
+the box point by point.
 
 A tetrahedron is *empty* when its only lattice points are its four
 vertices, and *clean* when its boundary carries no lattice points besides
@@ -18,7 +19,7 @@ the vertices (interior points are allowed).
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -94,21 +95,23 @@ def volume6(t: Tetrahedron) -> int:
 def _face_forms(t: Tetrahedron):
     """Affine forms whose signs locate a point against the four faces.
 
-    Returns (total, ((n1, c1), (n2, c2), (n3, c3))) where
-    d_i(p) = dot(n_i, p) + c_i for i = 1..3 and d_0(p) = total - d1 - d2 - d3
-    are `total` times the barycentric coordinates of p, with `total` the
-    positively-oriented determinant of the edge vectors.  p lies in the
-    closed tetrahedron iff all four values are >= 0.
+    Returns ((n0, c0), (n1, c1), (n2, c2), (n3, c3)) where the values
+    d_i(p) = dot(n_i, p) + c_i are `total` times the barycentric
+    coordinates of p, with `total` the positively-oriented determinant of
+    the edge vectors, so d0 = total - d1 - d2 - d3.  p lies in the closed
+    tetrahedron iff all four values are >= 0.
     """
     u1, u2, u3 = t.edge_vectors()
     total = det3((u1, u2, u3))
     n1, n2, n3 = cross(u2, u3), cross(u3, u1), cross(u1, u2)
     if total < 0:
         total, n1, n2, n3 = -total, neg(n1), neg(n2), neg(n3)
-    return total, (
-        (n1, -dot(n1, t.v0)),
-        (n2, -dot(n2, t.v0)),
-        (n3, -dot(n3, t.v0)),
+    c1, c2, c3 = -dot(n1, t.v0), -dot(n2, t.v0), -dot(n3, t.v0)
+    return (
+        (neg(add(add(n1, n2), n3)), total - c1 - c2 - c3),
+        (n1, c1),
+        (n2, c2),
+        (n3, c3),
     )
 
 
@@ -124,14 +127,10 @@ _LOCATION_BY_ZEROS = (
 
 def locate(t: Tetrahedron, p: Vec3) -> PointLocation:
     """Exact location of p relative to t from four determinant signs."""
-    total, ((n1, c1), (n2, c2), (n3, c3)) = _face_forms(t)
-    d1 = dot(n1, p) + c1
-    d2 = dot(n2, p) + c2
-    d3 = dot(n3, p) + c3
-    d0 = total - d1 - d2 - d3
-    if d0 < 0 or d1 < 0 or d2 < 0 or d3 < 0:
+    d = [dot(n, p) + k for n, k in _face_forms(t)]
+    if min(d) < 0:
         return PointLocation.OUTSIDE
-    return _LOCATION_BY_ZEROS[(d0 == 0) + (d1 == 0) + (d2 == 0) + (d3 == 0)]
+    return _LOCATION_BY_ZEROS[d.count(0)]
 
 
 def _bounding_box(points) -> tuple[range, range, range]:
@@ -145,11 +144,12 @@ def _bounding_box(points) -> tuple[range, range, range]:
     )
 
 
-# Lattice points in the tetrahedron's bounding box that the scan accepts
-# per call: past it the oracle refuses rather than running for hours.  On
-# a 2-core VM with Python 3.11, full boxes of 20M points around thin
-# tetrahedra took 0.03 s when cube-shaped, 1.5 s when 5 points deep in z
-# and 4.0 s when 2 deep with a shadow of 5M rows, the slowest shape.
+# Lattice points in the scanned bounding box that the scan accepts per
+# call, for the tetrahedron, plane and parallelepiped oracles alike: past
+# it an oracle refuses rather than running for hours.  On a 2-core VM with
+# Python 3.11, full boxes of 20M points around thin tetrahedra took 0.03 s
+# when cube-shaped, 1.5 s when 5 points deep in z and 4.0 s when 2 deep
+# with a shadow of 5M rows, the slowest shape.
 _MAX_SCAN_POINTS = 20_000_000
 
 
@@ -168,25 +168,24 @@ def _solve(forms, first: int, last: int) -> range:
     return range(lo, hi + 1)
 
 
-def _points_in(t: Tetrahedron) -> Iterator[tuple[Vec3, int]]:
-    """The tetrahedron scan core: every lattice point of the closed t.
+def _points_in(forms, corners) -> Iterator[tuple[Vec3, int]]:
+    """The scan core: every lattice point p of the integer bounding box of
+    corners with dot(n, p) + k >= 0 for every form (n, k) in forms.
 
-    Yields (p, zeros) in lexicographic (x, y, z) order over the integer
-    bounding box of the vertices, where zeros is the number of face forms
-    vanishing at p: 0 for interior points, 3 for vertices, 1 or 2 for the
-    rest of the boundary.  The box is not visited point by point.  For
-    each x, the y-range of t's shadow on the xy-plane is solved exactly
+    Yields (p, zeros) in lexicographic (x, y, z) order, where zeros is the
+    number of forms vanishing at p; for a tetrahedron's four face forms
+    that is 0 for interior points, 3 for vertices and 1 or 2 for the rest
+    of the boundary.  The box is not visited point by point.  For each x,
+    the y-range of the polytope's shadow on the xy-plane is solved exactly
     from the forms that eliminating z leaves; for each (x, y) row in it,
-    the z-interval where all four face forms d0..d3 are >= 0 is solved the
-    same way, and only its points are visited.  So a scan costs the box's
-    x-extent plus the shadow's rows plus t's points; callers stop at the
+    the z-interval where every form is >= 0 is solved the same way, and
+    only its points are visited.  So a scan costs the box's x-extent plus
+    the shadow's rows plus the polytope's points; callers stop at the
     first point that decides.  Whole x-rows are scanned while the box
     points so far stay within _MAX_SCAN_POINTS; the row that would pass
     that budget raises ValueError.
     """
-    total, ((n1, c1), (n2, c2), (n3, c3)) = _face_forms(t)
-    forms = ((neg(add(add(n1, n2), n3)), total - c1 - c2 - c3), (n1, c1), (n2, c2), (n3, c3))
-    # Fourier-Motzkin: t's shadow is where every z-free form, and every
+    # Fourier-Motzkin: the shadow is where every z-free form, and every
     # positive combination of a rising and a falling form that cancels z,
     # is >= 0.  Each is kept as (x, y, constant) coefficients.
     shadow = []
@@ -197,7 +196,7 @@ def _points_in(t: Tetrahedron) -> Iterator[tuple[Vec3, int]]:
             for (bx, by, bz), bk in forms:
                 if bz < 0:
                     shadow.append((az * bx - bz * ax, az * by - bz * ay, az * bk - bz * ak))
-    xr, yr, zr = _bounding_box(t.vertices())
+    xr, yr, zr = _bounding_box(corners)
     z_first, z_last = zr[0], zr[-1]
     row = len(yr) * len(zr)
     for x in xr[: _MAX_SCAN_POINTS // row]:
@@ -230,12 +229,12 @@ def _points_in(t: Tetrahedron) -> Iterator[tuple[Vec3, int]]:
 def lattice_points_in(t: Tetrahedron) -> list[tuple[Vec3, PointLocation]]:
     """Every lattice point of the closed tetrahedron with its location,
     in lexicographic (x, y, z) order."""
-    return [(p, _LOCATION_BY_ZEROS[zeros]) for p, zeros in _points_in(t)]
+    return [(p, _LOCATION_BY_ZEROS[zeros]) for p, zeros in _points_in(_face_forms(t), t.vertices())]
 
 
 def is_empty_bruteforce(t: Tetrahedron) -> bool:
     """Oracle: no lattice point besides the four vertices; stops at the first other one."""
-    return all(zeros == 3 for _, zeros in _points_in(t))
+    return all(zeros == 3 for _, zeros in _points_in(_face_forms(t), t.vertices()))
 
 
 def bruteforce_verdicts(t: Tetrahedron) -> tuple[bool, bool]:
@@ -246,7 +245,7 @@ def bruteforce_verdicts(t: Tetrahedron) -> tuple[bool, bool]:
     the sweep continues hunting for boundary points.
     """
     empty = True
-    for _, zeros in _points_in(t):
+    for _, zeros in _points_in(_face_forms(t), t.vertices()):
         if zeros == 0:
             empty = False
         elif zeros != 3:
@@ -267,45 +266,35 @@ def is_primitive_pair(u: Vec3, v: Vec3) -> bool:
 
 
 def _plane_region_is_empty(
-    u: Vec3, v: Vec3, corners: tuple[Vec3, ...], inside: Callable[[int, int, int], bool]
+    u: Vec3, v: Vec3, corners: tuple[Vec3, ...], far_sides: tuple[tuple[int, int], ...]
 ) -> bool:
-    """The plane scan core: no lattice point of a region spanned by u, v
-    except the given corners.
+    """No lattice point of a closed region spanned by u, v except the
+    given corners, by the scan core over the corners' bounding box.
 
-    Scans the integer bounding box of the corners.  Membership of p is
-    solved exactly: with n = cross(u, v), the scaled coordinates
-    s = det(p, v, n) and t = det(u, p, n) satisfy p = (s*u + t*v) / nn,
-    nn = dot(n, n), for in-plane p; inside(s, t, nn) says whether (s, t)
-    lies in the closed region.
+    With n = cross(u, v) and nn = dot(n, n), an in-plane p is
+    (s*u + t*v) / nn for the scaled coordinates s = det(p, v, n) and
+    t = det(u, p, n).  The region is the plane dot(n, p) = 0 with s >= 0,
+    t >= 0 and i*s + j*t <= nn for every (i, j) in far_sides, all passed
+    to the core as forms >= 0.
     """
     n = _plane_coefficients(u, v)
     nn = dot(n, n)
-    sv = cross(v, n)  # s * nn = dot(p, sv)
-    tu = cross(n, u)  # t * nn = dot(p, tu)
-    xr, yr, zr = _bounding_box(corners)
-    for x in xr:
-        for y in yr:
-            for z in zr:
-                p = (x, y, z)
-                if dot(n, p) != 0:
-                    continue
-                if inside(dot(p, sv), dot(p, tu), nn) and p not in corners:
-                    return False
-    return True
+    sv = cross(v, n)  # s = dot(p, sv)
+    tu = cross(n, u)  # t = dot(p, tu)
+    forms = [(n, 0), (neg(n), 0), (sv, 0), (tu, 0)]
+    for i, j in far_sides:
+        forms.append((tuple(-i * a - j * b for a, b in zip(sv, tu)), nn))
+    return all(p in corners for p, _ in _points_in(forms, corners))
 
 
 def triangle_is_empty_bruteforce(u: Vec3, v: Vec3) -> bool:
     """Oracle: the closed triangle {0, u, v} has no lattice point except its vertices."""
-    return _plane_region_is_empty(
-        u, v, (ZERO, u, v), lambda s, t, nn: s >= 0 and t >= 0 and s + t <= nn
-    )
+    return _plane_region_is_empty(u, v, (ZERO, u, v), ((1, 1),))
 
 
 def parallelogram_is_empty_bruteforce(u: Vec3, v: Vec3) -> bool:
     """Oracle: the closed parallelogram spanned by u, v has only its 4 corners."""
-    return _plane_region_is_empty(
-        u, v, (ZERO, u, v, add(u, v)), lambda s, t, nn: 0 <= s <= nn and 0 <= t <= nn
-    )
+    return _plane_region_is_empty(u, v, (ZERO, u, v, add(u, v)), ((1, 0), (0, 1)))
 
 
 def parallelepiped_interior_points(a: int, b: int, c: int) -> list[Vec3]:
@@ -340,13 +329,17 @@ def parallelepiped_interior_bruteforce(a: int, b: int, c: int) -> list[Vec3]:
 
     p = (x, y, z) is interior iff its coefficients over the spanning
     vectors lie strictly between 0 and 1, i.e. 0 < z < c,
-    0 < x*c - z*a < c and 0 < y*c - z*b < c.  Lexicographic order.
+    0 < x*c - z*a < c and 0 < y*c - z*b < c, passed to the scan core as
+    forms >= 1 over the box from 0 to (a + 1, b + 1, c).  Lexicographic
+    order.
     """
     CanonicalForm(a, b, c)  # validates types and ranges
-    found = []
-    for x in range(0, a + 2):
-        for y in range(0, b + 2):
-            for z in range(1, c):
-                if 0 < x * c - z * a < c and 0 < y * c - z * b < c:
-                    found.append((x, y, z))
-    return found
+    forms = (
+        ((0, 0, 1), -1),
+        ((0, 0, -1), c - 1),
+        ((c, 0, -a), -1),
+        ((-c, 0, a), c - 1),
+        ((0, c, -b), -1),
+        ((0, -c, b), c - 1),
+    )
+    return [p for p, _ in _points_in(forms, (ZERO, (a + 1, b + 1, c)))]

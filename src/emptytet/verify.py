@@ -33,11 +33,11 @@ from .white import (
 _MAX_COUNTEREXAMPLES = 50
 
 # Each suite's smallest and largest c_max.  The largest is a budget: a run
-# at it took 1.0-1.2 s (white), 4.3 s (coplanar), 2.1 s (fn) and 4.0 s and
-# 131 MB (normalize, 1000 trials) through `emptytet verify` on a 2-core VM
-# with Python 3.11.  The budgets grow in the CLI's run order, so a c_max
+# at it took 1.0-1.2 s (white), 3.2-3.7 s (coplanar), 2.1 s (fn) and 4.0 s
+# and 131 MB (normalize, 1000 trials) through `emptytet verify` on a 2-core
+# VM with Python 3.11.  The budgets grow in the CLI's run order, so a c_max
 # past any selected suite's budget stops the first suite that runs.
-_C_MAX_RANGE = {"white": (1, 35), "coplanar": (2, 35), "fn": (3, 200), "normalize": (1, 1000)}
+_C_MAX_RANGE = {"white": (1, 35), "coplanar": (2, 48), "fn": (3, 200), "normalize": (1, 1000)}
 
 # The normalize suite's largest trial count: 7000 trials at the default
 # c_max took 3.9-4.1 s through `emptytet verify` on the same VM (about
@@ -245,16 +245,22 @@ def random_unimodular_map(
     return AffineUnimodularMap(m, translation)
 
 
+def _check_trials(trials: int) -> None:
+    """Refuse a trial count outside 1.._MAX_TRIALS; the CLI calls this
+    before any suite runs, so a bad --trials costs no other suite's time."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if trials > _MAX_TRIALS:
+        raise ValueError(f"the normalize suite exceeds its budget of trials <= {_MAX_TRIALS}, got trials = {trials}")
+
+
 def verify_normalization(
     trials: int = 1000, seed: int = 0, c_max: int = 10
 ) -> VerificationReport:
     """Round-trip: scramble a random empty form with a random unimodular map,
     re-normalize, and demand the canonical form survives along with volume,
     witness-map soundness and the clean gcd conclusion."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if trials > _MAX_TRIALS:
-        raise ValueError(f"the normalize suite exceeds its budget of trials <= {_MAX_TRIALS}, got trials = {trials}")
+    _check_trials(trials)
     report = _start("normalize", c_max, trials=trials, seed=seed)
     rng = random.Random(seed)
     forms = [form for c in range(1, c_max + 1) for form in empty_forms(c)]

@@ -383,16 +383,16 @@ def test_verify_rejects_bad_max_c(run):
     "suites, budget",
     [
         (["white"], "the white suite exceeds its budget of c_max <= 35"),
-        (["coplanar"], "the coplanar suite exceeds its budget of c_max <= 35"),
+        (["coplanar"], "the coplanar suite exceeds its budget of c_max <= 48"),
         (["fn"], "the fn suite exceeds its budget of c_max <= 200"),
         (["normalize"], "the normalize suite exceeds its budget of c_max <= 1000"),
         # a suite within its budget runs first; the budgets grow in run order
-        (["normalize", "coplanar"], "the coplanar suite exceeds its budget of c_max <= 35"),
+        (["normalize", "coplanar"], "the coplanar suite exceeds its budget of c_max <= 48"),
         ([], "the white suite exceeds its budget of c_max <= 35"),
     ],
 )
 def test_verify_refuses_max_c_past_a_suite_budget(run, suites, budget):
-    caps = {"white": 35, "coplanar": 35, "fn": 200, "normalize": 1000}
+    caps = {"white": 35, "coplanar": 48, "fn": 200, "normalize": 1000}
     for max_c in (min(caps[s] for s in suites or caps) + 1, 10**20):
         argv = ["verify", "--max-c", str(max_c)]
         for suite in suites:
@@ -406,13 +406,16 @@ def test_verify_refuses_max_c_past_a_suite_budget(run, suites, budget):
 
 
 def test_verify_refuses_trials_past_the_budget(run):
-    for trials in (7001, 10**12):
-        start = time.perf_counter()
-        code, out, err = run("verify", "--suite", "normalize", "--max-c", "2", "--trials", str(trials))
-        assert time.perf_counter() - start < 1.0
-        assert code == 2
-        assert out == ""
-        assert err == f"error: the normalize suite exceeds its budget of trials <= 7000, got trials = {trials}\n"
+    # With every suite selected, the refusal comes before white, coplanar
+    # and fn run: no "# suite" timing line reaches stderr.
+    for suite_args in (["--suite", "normalize", "--max-c", "2"], []):
+        for trials in (7001, 10**12):
+            start = time.perf_counter()
+            code, out, err = run("verify", *suite_args, "--trials", str(trials))
+            assert time.perf_counter() - start < 1.0
+            assert code == 2
+            assert out == ""
+            assert err == f"error: the normalize suite exceeds its budget of trials <= 7000, got trials = {trials}\n"
 
 
 def test_help_exits_zero(run):

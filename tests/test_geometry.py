@@ -207,6 +207,12 @@ def test_oracles_refuse_boxes_past_the_scan_budget():
     for oracle in (lattice_points_in, is_empty_bruteforce, bruteforce_verdicts):
         with pytest.raises(ValueError, match="budget"):
             oracle(t)
+    # Boxes of 50M (2 x 5001 x 5001) and 27M (301^3) points.
+    for oracle in (triangle_is_empty_bruteforce, parallelogram_is_empty_bruteforce):
+        with pytest.raises(ValueError, match="budget"):
+            oracle((1, 0, 0), (0, 5000, 5000))
+    with pytest.raises(ValueError, match="budget"):
+        parallelepiped_interior_bruteforce(299, 299, 300)
 
 
 def test_oracle_frozen_verdicts():
@@ -303,6 +309,12 @@ def test_parallelepiped_points_match_scan():
     for c in range(1, 13):
         for a in range(c):
             for b in range(c):
+                box = itertools.product(range(a + 2), range(b + 2), range(c + 1))
+                assert parallelepiped_interior_bruteforce(a, b, c) == [
+                    (x, y, z)
+                    for x, y, z in box
+                    if 0 < z < c and 0 < x * c - z * a < c and 0 < y * c - z * b < c
+                ], (a, b, c)
                 if math.gcd(a, c) != 1 or math.gcd(b, c) != 1:
                     continue
                 pts = parallelepiped_interior_points(a, b, c)
