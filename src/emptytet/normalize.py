@@ -15,12 +15,14 @@ whose rows are written once for a chosen assignment of vertex roles
 3. subtract q1 and q2 times the third row from the first two (a shear),
    where A = q1*c + a, B = q2*c + b with 0 <= a, b < c.
 
-`canonicalize` runs this over all 24 role assignments and keeps the
-lexicographically smallest (c, a, b), giving a deterministic canonical
-form; two tetrahedra are unimodular-equivalent when their canonical
-forms coincide.  For clean tetrahedra every assignment succeeds; when no
-face spans an empty triangle nothing can be normalized and
-NotNormalizableError is raised.
+`canonicalize` keeps the lexicographically smallest (c, a, b) over all 24
+role assignments, giving a deterministic canonical form; two tetrahedra
+are unimodular-equivalent when their canonical forms coincide.  It
+scores each assignment by the (c, a, b) that steps 1-3 would reach, read
+off the cross products of step 1 before any map is made, and builds and
+checks the map of the winner only.  For clean tetrahedra every
+assignment succeeds; when no face spans an empty triangle nothing can be
+normalized and NotNormalizableError is raised.
 """
 
 from __future__ import annotations
@@ -100,23 +102,35 @@ def normalize(t: Tetrahedron, roles: RoleAssignment = IDENTITY_ROLES) -> Normali
 def canonicalize(t: Tetrahedron) -> NormalizationResult:
     """Deterministic normalization over all 24 vertex-role assignments.
 
-    Assignments whose face pair is not primitive are skipped; among the
-    rest the lexicographically smallest (c, a, b) wins, ties broken by
-    assignment enumeration order.
+    Assignments whose face pair is not primitive are skipped.  The rest
+    are scored by the (c, a, b) that normalize would reach, read off cross
+    products: c = |dot(n, apex)|, a = dot(cross(v, w), apex) mod c and
+    b = dot(cross(w, u), apex) mod c, which no choice of w changes (moving
+    w by multiples of u and v moves both dots by multiples of c).  The
+    first smallest key in enumeration order wins, and only its witness
+    map is built and checked.
     """
-    best: NormalizationResult | None = None
+    verts = t.vertices()
+    best_key: tuple[int, int, int] | None = None
+    best_roles: RoleAssignment | None = None
     for roles in permutations(range(4)):
-        try:
-            result = normalize(t, roles)
-        except NotPrimitiveError:
+        origin = verts[roles[0]]
+        u = sub(verts[roles[1]], origin)
+        v = sub(verts[roles[2]], origin)
+        n = cross(u, v)
+        if gcd_vec(n) != 1:
             continue
-        if best is None or result.form.sort_key() < best.form.sort_key():
-            best = result
-    if best is None:
+        w = extend_to_basis(u, v)
+        apex = sub(verts[roles[3]], origin)
+        c = abs(dot(n, apex))
+        key = (c, dot(cross(v, w), apex) % c, dot(cross(w, u), apex) % c)
+        if best_key is None or key < best_key:
+            best_key, best_roles = key, roles
+    if best_roles is None:
         raise NotNormalizableError(
             f"not normalizable (non-clean): no face of {t.vertices()} spans an empty triangle"
         )
-    return best
+    return normalize(t, best_roles)
 
 
 def canonical_form(t: Tetrahedron) -> CanonicalForm:

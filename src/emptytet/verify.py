@@ -9,6 +9,7 @@ normalization suite is driven entirely by a seeded generator.
 import math
 import random
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .geometry import (
@@ -22,9 +23,10 @@ from .intlin import E1, E2, IDENTITY, ZERO, AffineUnimodularMap, Mat3, mat_mul
 from .normalize import canonical_form, canonicalize
 from .white import (
     CanonicalForm,
+    _empty_form_at,
+    _empty_form_count,
+    _floor_steps,
     clean_forms,
-    empty_forms,
-    floor_step,
     floor_step_support,
     is_clean_form,
     white_empty,
@@ -33,15 +35,16 @@ from .white import (
 _MAX_COUNTEREXAMPLES = 50
 
 # Each suite's smallest and largest c_max.  The largest is a budget: a run
-# at it took 1.0-1.2 s (white), 3.2-3.7 s (coplanar), 2.1 s (fn) and 4.0 s
-# and 131 MB (normalize, 1000 trials) through `emptytet verify` on a 2-core
-# VM with Python 3.11.  The budgets grow in the CLI's run order, so a c_max
-# past any selected suite's budget stops the first suite that runs.
+# at it took 1.0-1.2 s (white), 3.2-3.7 s (coplanar), 0.9-1.1 s (fn) and
+# 0.6-0.7 s and 17 MB (normalize, 1000 trials; 3.8 s at 7000 trials)
+# through `emptytet verify` on a 2-core VM with Python 3.11.  The budgets
+# grow in the CLI's run order, so a c_max past any selected suite's budget
+# stops the first suite that runs.
 _C_MAX_RANGE = {"white": (1, 35), "coplanar": (2, 48), "fn": (3, 200), "normalize": (1, 1000)}
 
 # The normalize suite's largest trial count: 7000 trials at the default
-# c_max took 3.9-4.1 s through `emptytet verify` on the same VM (about
-# 0.55 ms a trial).
+# c_max took 1.6-2.2 s through `emptytet verify` on the same VM (about
+# 0.25 ms a trial).
 _MAX_TRIALS = 7000
 
 
@@ -204,10 +207,7 @@ def verify_floor_steps(c_max: int = 100) -> VerificationReport:
                 )
             report.record(
                 "complement_identity",
-                all(
-                    floor_step(c - n, c, k) == 1 - floor_step(n, c, k)
-                    for k in range(1, c - 1)
-                ),
+                _floor_steps(c - n, c) == [1 - step for step in _floor_steps(n, c)],
                 f"n={n}, c={c}",
             )
     return report.finish()
@@ -263,10 +263,17 @@ def verify_normalization(
     _check_trials(trials)
     report = _start("normalize", c_max, trials=trials, seed=seed)
     rng = random.Random(seed)
-    forms = [form for c in range(1, c_max + 1) for form in empty_forms(c)]
+    # The empty forms with c <= c_max, listed by c and then as empty_forms
+    # lists them, are drawn by index without being listed: starts[c - 1] is
+    # the index of the first form of height c, and starts[c_max] the count.
+    starts = [0]
+    for c in range(1, c_max + 1):
+        starts.append(starts[-1] + _empty_form_count(c))
     base_forms: dict[CanonicalForm, CanonicalForm] = {}
     for trial in range(trials):
-        form = rng.choice(forms)
+        i = rng.randrange(starts[-1])
+        c = bisect_right(starts, i)
+        form = _empty_form_at(c, i - starts[c - 1])
         scramble = random_unimodular_map(rng)
         t = standard_tetrahedron(form.a, form.b, form.c)
         if form not in base_forms:

@@ -45,10 +45,6 @@ class CanonicalForm:
         """Fourth parameter (1 - a - b) mod c, reduced to 0 <= d < c."""
         return (1 - self.a - self.b) % self.c
 
-    def sort_key(self) -> tuple[int, int, int]:
-        """(c, a, b), the order used to pick canonical representatives."""
-        return (self.c, self.a, self.b)
-
 
 def frac_multiple(k: int, n: int, c: int) -> Fraction:
     """Exact fractional part <k*n/c> as a Fraction with denominator dividing c."""
@@ -118,6 +114,12 @@ def floor_step(n: int, c: int, k: int) -> int:
     return (k + 1) * n // c - k * n // c
 
 
+def _floor_steps(n: int, c: int) -> list[int]:
+    """The row [floor_step(n, c, k) for k in 1..c-2], with (n, c) checked once."""
+    _require_coprime_slope(n, c)
+    return [(k + 1) * n // c - k * n // c for k in range(1, c - 1)]
+
+
 def floor_step_support(n: int, c: int) -> set[int]:
     """The set of k in 1..c-2 where floor_step(n, c, k) is 1.
 
@@ -125,8 +127,7 @@ def floor_step_support(n: int, c: int) -> set[int]:
     is a theorem the verification suites check against, not the
     implementation.
     """
-    _require_coprime_slope(n, c)
-    return {k for k in range(1, c - 1) if (k + 1) * n // c - k * n // c == 1}
+    return {k for k, step in enumerate(_floor_steps(n, c), 1) if step}
 
 
 def satisfies_step_system(form: CanonicalForm) -> bool:
@@ -141,10 +142,8 @@ def satisfies_step_system(form: CanonicalForm) -> bool:
     a, b, c, d = form.a, form.b, form.c, form.d
     if a + b + d != c + 1:
         return False
-    return all(
-        floor_step(a, c, k) + floor_step(b, c, k) + floor_step(d, c, k) == 1
-        for k in range(1, c - 1)
-    )
+    rows = zip(_floor_steps(a, c), _floor_steps(b, c), _floor_steps(d, c))
+    return all(x + y + z == 1 for x, y, z in rows)
 
 
 def satisfied_clause(form: CanonicalForm) -> str:
@@ -184,6 +183,11 @@ def clean_forms(c: int) -> list[CanonicalForm]:
 _MAX_ENUMERATE_C = 100_000
 
 
+def _units(c: int) -> list[int]:
+    """The k in 1..c-1 with gcd(k, c) = 1, ascending."""
+    return [k for k in range(1, c) if math.gcd(k, c) == 1]
+
+
 def empty_forms(c: int) -> list[CanonicalForm]:
     """All empty forms with third parameter c, in lexicographic (a, b) order.
 
@@ -195,6 +199,31 @@ def empty_forms(c: int) -> list[CanonicalForm]:
         raise ValueError(f"enumeration exceeds its budget of c <= {_MAX_ENUMERATE_C}, got c = {c}")
     if c <= 1:
         return clean_forms(c)  # [T(0, 0, 1)], or the c < 1 ValueError
-    units = [k for k in range(1, c) if math.gcd(k, c) == 1]
-    pairs = {p for k in units for p in ((1, k), (k, 1), (k, c - k))}
+    pairs = {p for k in _units(c) for p in ((1, k), (k, 1), (k, c - k))}
     return [CanonicalForm(a, b, c) for a, b in sorted(pairs)]
+
+
+def _empty_form_count(c: int) -> int:
+    """len(empty_forms(c)) for c >= 1, without building the forms.
+
+    For c > 2 the three families of phi(c) forms each share one form with
+    each other family: T(1, 1, c), T(1, c - 1, c) and T(c - 1, 1, c).
+    """
+    return 1 if c <= 2 else 3 * len(_units(c)) - 3
+
+
+def _empty_form_at(c: int, offset: int) -> CanonicalForm:
+    """empty_forms(c)[offset] for 0 <= offset < _empty_form_count(c), built alone.
+
+    For c > 2 the sorted list is T(1, k, c) for every unit k, then
+    T(k, 1, c) and T(k, c - k, c) for each unit 1 < k < c - 1, then
+    T(c - 1, 1, c).
+    """
+    if c <= 2:
+        return empty_forms(c)[offset]
+    units = _units(c)
+    if offset < len(units):
+        return CanonicalForm(1, units[offset], c)
+    row, second = divmod(offset - len(units), 2)
+    k = units[row + 1]
+    return CanonicalForm(k, c - k if second else 1, c)

@@ -4,6 +4,7 @@ from itertools import permutations
 import pytest
 
 from emptytet.geometry import (
+    DegenerateTetrahedronError,
     Tetrahedron,
     is_empty_bruteforce,
     standard_tetrahedron,
@@ -78,6 +79,65 @@ def test_face_pair_not_primitive_error():
     # u = e1 and v = (0, 0, 2) span a face with a midpoint lattice point
     with pytest.raises(NotPrimitiveError, match="face pair not primitive"):
         normalize(t, (0, 1, 3, 2))
+
+
+def reference_canonicalize(t):
+    """The result with the first smallest (c, a, b) over all 24 normalize
+    calls, or None."""
+    best = best_key = None
+    for roles in permutations(range(4)):
+        try:
+            result = normalize(t, roles)
+        except NotPrimitiveError:
+            continue
+        key = (result.form.c, result.form.a, result.form.b)
+        if best is None or key < best_key:
+            best, best_key = result, key
+    return best
+
+
+def assert_matches_reference(t):
+    want = reference_canonicalize(t)
+    if want is None:
+        with pytest.raises(NotNormalizableError) as exc:
+            canonicalize(t)
+        assert str(exc.value) == (
+            f"not normalizable (non-clean): no face of {t.vertices()} spans an empty triangle"
+        )
+        return False
+    got = canonicalize(t)
+    assert (got.form, got.map.matrix, got.map.translation) == (
+        want.form,
+        want.map.matrix,
+        want.map.translation,
+    ), t
+    return True
+
+
+def test_canonicalize_matches_reference_on_scrambled_forms():
+    # every T(a, b, c) with c <= 12, clean or not; images of standard forms
+    # give many roles with equal keys, so the tie-breaking order is exercised
+    rng = random.Random(31)
+    for c in range(1, 13):
+        for a in range(c):
+            for b in range(c):
+                t = standard_tetrahedron(a, b, c)
+                assert_matches_reference(t.transformed(random_unimodular_map(rng)))
+
+
+def test_canonicalize_matches_reference_on_random_tetrahedra():
+    rng = random.Random(32)
+    tried = normalizable = 0
+    while tried < 2500:
+        vertices = [tuple(rng.randint(-6, 6) for _ in range(3)) for _ in range(4)]
+        try:
+            t = Tetrahedron(*vertices)
+        except DegenerateTetrahedronError:
+            continue
+        tried += 1
+        normalizable += assert_matches_reference(t)
+    # both outcomes occur in the sample
+    assert 0 < normalizable < tried
 
 
 def test_canonical_form_unit_tetrahedron():

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from emptytet import verify
 from emptytet.cli import _suites
+from emptytet.geometry import standard_tetrahedron
 from emptytet.intlin import det3
 from emptytet.verify import (
     _C_MAX_RANGE,
@@ -14,6 +16,7 @@ from emptytet.verify import (
     verify_normalization,
     verify_white,
 )
+from emptytet.white import empty_forms
 
 
 def test_report_record_and_ok():
@@ -86,6 +89,39 @@ def test_verify_normalization_small_and_seeded():
     assert report.cases == 160
     again = verify_normalization(trials=40, seed=11, c_max=6)
     assert report.to_dict() == again.to_dict()
+
+
+def test_verify_normalization_draws_as_full_list(monkeypatch):
+    # Drawing an index into the empty forms with randrange takes the same
+    # random stream as rng.choice over their full list, so every seed
+    # scrambles the same forms with the same maps.
+    def reference(trials, seed, c_max):
+        rng = random.Random(seed)
+        forms = [form for c in range(1, c_max + 1) for form in empty_forms(c)]
+        draws = []
+        for _ in range(trials):
+            form = rng.choice(forms)
+            draws.append(((form.a, form.b, form.c), random_unimodular_map(rng)))
+        return draws
+
+    for seed in (0, 1, 2):
+        for trials, c_max in ((200, 10), (100, 300)):
+            forms, maps = [], []
+
+            def draw_form(a, b, c):
+                forms.append((a, b, c))
+                return standard_tetrahedron(a, b, c)
+
+            def draw_map(rng):
+                maps.append(scramble := random_unimodular_map(rng))
+                return scramble
+
+            with monkeypatch.context() as patch:
+                patch.setattr(verify, "standard_tetrahedron", draw_form)
+                patch.setattr(verify, "random_unimodular_map", draw_map)
+                report = verify_normalization(trials, seed, c_max)
+            assert list(zip(forms, maps)) == reference(trials, seed, c_max), (seed, c_max)
+            assert report.ok and report.cases == 4 * trials
 
 
 def test_parameter_validation():

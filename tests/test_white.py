@@ -7,6 +7,9 @@ from emptytet.geometry import is_empty_bruteforce, standard_tetrahedron
 from emptytet.white import (
     _MAX_ENUMERATE_C,
     CanonicalForm,
+    _empty_form_at,
+    _empty_form_count,
+    _floor_steps,
     clean_forms,
     empty_forms,
     floor_step,
@@ -171,10 +174,20 @@ def test_floor_step_support_preconditions():
         (5, 5, "need 0 < n < c, got n=5, c=5"),
         (2, 4, "need gcd(n, c) = 1, got n=2, c=4"),
     ):
-        for call in (lambda: floor_step_support(n, c), lambda: floor_step(n, c, 1)):
+        for call in (
+            lambda: floor_step_support(n, c),
+            lambda: _floor_steps(n, c),
+            lambda: floor_step(n, c, 1),
+        ):
             with pytest.raises(ValueError) as exc:
                 call()
             assert str(exc.value) == message
+
+
+def test_floor_steps_row_matches_floor_step():
+    for c in range(2, 41):
+        for n in coprime_range(c):
+            assert _floor_steps(n, c) == [floor_step(n, c, k) for k in range(1, c - 1)], (n, c)
 
 
 def test_floor_step_zero_or_one():
@@ -254,3 +267,11 @@ def test_enumerators_consistent():
         # clean forms missing from the empty list fail the unit clause
         for f in set(cleans) - set(empties):
             assert 1 not in (f.a, f.b, f.c, f.d)
+
+
+def test_empty_form_at_matches_listing():
+    # the indexed pick against the family listing, every offset, order included
+    for c in range(1, 121):
+        empties = empty_forms(c)
+        assert _empty_form_count(c) == len(empties), c
+        assert [_empty_form_at(c, i) for i in range(len(empties))] == empties, c
