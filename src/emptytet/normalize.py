@@ -18,11 +18,24 @@ whose rows are written once for a chosen assignment of vertex roles
 `canonicalize` keeps the lexicographically smallest (c, a, b) over all 24
 role assignments, giving a deterministic canonical form; two tetrahedra
 are unimodular-equivalent when their canonical forms coincide.  It
-scores each assignment by the (c, a, b) that steps 1-3 would reach, read
-off the cross products of step 1 before any map is made, and builds and
-checks the map of the winner only.  For clean tetrahedra every
-assignment succeeds; when no face spans an empty triangle nothing can be
-normalized and NotNormalizableError is raised.
+scores the assignments before any map is made, with one basis per face
+rather than one per assignment.  For the face opposite vertex l, with
+vertices i, j, k, take u = p_j - p_i, v = p_k - p_i, their completion w
+and p_l - p_i = alpha u + beta v + gamma w.  Then
+
+    gamma w = p_l - W_i p_i - W_j p_j - W_k p_k,
+    (W_i, W_j, W_k) = (1 - alpha - beta, alpha, beta).
+
+Any other order of i, j, k gives another completion w' = +-w + (a
+combination of u and v) and gamma' = +-gamma, so its weights, which also
+sum to 1, differ from these by multiples of c = |gamma| only: the face
+weights mod c are the same for all six orders of the face.  Steps 1-3
+carry the assignment with apex l and e1, e2 roles on vertices x, y to
+T(W_x mod c, W_y mod c, c), and c = |det(u, v, p_l - p_i)| is six times
+the volume, the same for every assignment.  Only the winner's map is
+built and checked.  For clean tetrahedra every assignment succeeds; when
+no face spans an empty triangle nothing can be normalized and
+NotNormalizableError is raised.
 """
 
 from __future__ import annotations
@@ -37,6 +50,7 @@ from .intlin import (
     ZERO,
     AffineUnimodularMap,
     NotPrimitiveError,
+    Vec3,
     cross,
     dot,
     extend_to_basis,
@@ -99,31 +113,48 @@ def normalize(t: Tetrahedron, roles: RoleAssignment = IDENTITY_ROLES) -> Normali
     return NormalizationResult(lmap, CanonicalForm(a, b, c))
 
 
+def _face_weights(verts: tuple[Vec3, Vec3, Vec3, Vec3]) -> list[tuple[int, dict[int, int]] | None]:
+    """For each vertex l, None when the face opposite l is not an empty
+    triangle, else (c, W) with W mapping each face vertex to its weight
+    mod c (module docstring)."""
+    faces: list[tuple[int, dict[int, int]] | None] = []
+    for l in range(4):
+        i, j, k = (x for x in range(4) if x != l)
+        origin = verts[i]
+        u = sub(verts[j], origin)
+        v = sub(verts[k], origin)
+        n = cross(u, v)
+        if gcd_vec(n) != 1:
+            faces.append(None)
+            continue
+        w = extend_to_basis(u, v)
+        p = sub(verts[l], origin)
+        c = abs(dot(n, p))
+        alpha, beta = dot(cross(v, w), p), dot(cross(w, u), p)
+        faces.append((c, {i: (1 - alpha - beta) % c, j: alpha % c, k: beta % c}))
+    return faces
+
+
 def canonicalize(t: Tetrahedron) -> NormalizationResult:
     """Deterministic normalization over all 24 vertex-role assignments.
 
     Assignments whose face pair is not primitive are skipped.  The rest
-    are scored by the (c, a, b) that normalize would reach, read off cross
-    products: c = |dot(n, apex)|, a = dot(cross(v, w), apex) mod c and
-    b = dot(cross(w, u), apex) mod c, which no choice of w changes (moving
-    w by multiples of u and v moves both dots by multiples of c).  The
-    first smallest key in enumeration order wins, and only its witness
-    map is built and checked.
+    are scored by the (c, a, b) that normalize would reach, read off the
+    face weights of their apex's opposite face: the assignment
+    (origin, e1, e2, apex) scores (c, W[e1], W[e2]), so one basis per
+    face serves its six orders (module docstring).  The first smallest key
+    in enumeration order wins, and only its witness map is built and
+    checked.
     """
-    verts = t.vertices()
+    faces = _face_weights(t.vertices())
     best_key: tuple[int, int, int] | None = None
     best_roles: RoleAssignment | None = None
     for roles in permutations(range(4)):
-        origin = verts[roles[0]]
-        u = sub(verts[roles[1]], origin)
-        v = sub(verts[roles[2]], origin)
-        n = cross(u, v)
-        if gcd_vec(n) != 1:
+        face = faces[roles[3]]
+        if face is None:
             continue
-        w = extend_to_basis(u, v)
-        apex = sub(verts[roles[3]], origin)
-        c = abs(dot(n, apex))
-        key = (c, dot(cross(v, w), apex) % c, dot(cross(w, u), apex) % c)
+        c, weights = face
+        key = (c, weights[roles[1]], weights[roles[2]])
         if best_key is None or key < best_key:
             best_key, best_roles = key, roles
     if best_roles is None:

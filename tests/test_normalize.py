@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import permutations
 
@@ -10,9 +11,11 @@ from emptytet.geometry import (
     standard_tetrahedron,
     volume6,
 )
-from emptytet.intlin import IDENTITY, AffineUnimodularMap, NotPrimitiveError
+import emptytet.normalize
+from emptytet.intlin import IDENTITY, AffineUnimodularMap, NotPrimitiveError, extend_to_basis
 from emptytet.normalize import (
     NotNormalizableError,
+    _face_weights,
     canonical_form,
     canonicalize,
     normalize,
@@ -138,6 +141,98 @@ def test_canonicalize_matches_reference_on_random_tetrahedra():
         normalizable += assert_matches_reference(t)
     # both outcomes occur in the sample
     assert 0 < normalizable < tried
+
+
+def assert_face_weights_match_every_role(t):
+    """Each of the 24 roles is skipped exactly when normalize rejects it,
+    and otherwise its key (c, W[e1], W[e2]) is normalize's (c, a, b)."""
+    faces = _face_weights(t.vertices())
+    for roles in permutations(range(4)):
+        face = faces[roles[3]]
+        try:
+            form = normalize(t, roles).form
+        except NotPrimitiveError:
+            assert face is None, (t, roles)
+            continue
+        assert face is not None, (t, roles)
+        c, weights = face
+        assert (c, weights[roles[1]], weights[roles[2]]) == (form.c, form.a, form.b), (t, roles)
+
+
+def test_face_weights_match_every_role_on_scrambled_forms():
+    rng = random.Random(33)
+    for c in range(1, 13):
+        for a in range(c):
+            for b in range(c):
+                t = standard_tetrahedron(a, b, c)
+                assert_face_weights_match_every_role(t.transformed(random_unimodular_map(rng)))
+
+
+def random_tetrahedra(rng, count):
+    """count non-degenerate tetrahedra with vertices in [-6, 6]^3."""
+    while count:
+        vertices = [tuple(rng.randint(-6, 6) for _ in range(3)) for _ in range(4)]
+        try:
+            t = Tetrahedron(*vertices)
+        except DegenerateTetrahedronError:
+            continue
+        yield t
+        count -= 1
+
+
+def test_face_weights_match_every_role_on_random_tetrahedra():
+    for t in random_tetrahedra(random.Random(34), 1000):
+        assert_face_weights_match_every_role(t)
+
+
+def count_extend_to_basis_calls(monkeypatch, t):
+    calls = []
+
+    def counting(u, v):
+        calls.append((u, v))
+        return extend_to_basis(u, v)
+
+    monkeypatch.setattr(emptytet.normalize, "extend_to_basis", counting)
+    try:
+        canonicalize(t)
+    except NotNormalizableError:
+        pass
+    return len(calls)
+
+
+def test_canonicalize_extends_one_basis_per_face(monkeypatch):
+    # 4 faces plus the winner's map, however many of the 24 roles are valid
+    rng = random.Random(35)
+    for c in range(1, 9):
+        for form in empty_forms(c):
+            t = standard_tetrahedron(form.a, form.b, form.c)
+            image = t.transformed(random_unimodular_map(rng))
+            assert count_extend_to_basis_calls(monkeypatch, image) <= 5
+    for t in random_tetrahedra(rng, 200):
+        assert count_extend_to_basis_calls(monkeypatch, t) <= 5
+    # every face of a doubled tetrahedron is non-primitive
+    assert count_extend_to_basis_calls(monkeypatch, DOUBLED_UNIT) == 0
+
+
+def unit_orbit_count(c):
+    """Orbits of the units mod c under q -> -q and q -> q^-1."""
+    if c <= 2:
+        return 1
+    orbits = {
+        frozenset({q, c - q, pow(q, -1, c), c - pow(q, -1, c)})
+        for q in range(1, c)
+        if math.gcd(q, c) == 1
+    }
+    return len(orbits)
+
+
+def test_canonical_classes_match_unit_orbits():
+    # the T(p, q) classification (Sebo, IPCO 1999): empty tetrahedra of
+    # volume c are equivalent iff their units lie in one orbit, so
+    # canonical_form neither merges nor splits classes when the counts agree
+    for c in range(1, 61):
+        classes = {canonical_form(standard_tetrahedron(f.a, f.b, f.c)) for f in empty_forms(c)}
+        assert len(classes) == unit_orbit_count(c), c
 
 
 def test_canonical_form_unit_tetrahedron():
