@@ -19,8 +19,8 @@ the vertices (interior points are allowed).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from enum import Enum
 
 from .intlin import (
@@ -51,17 +51,13 @@ class PointLocation(Enum):
     INTERIOR = "interior"
 
 
-@dataclass(frozen=True)
-class Tetrahedron:
+class Tetrahedron(namedtuple("Tetrahedron", "v0 v1 v2 v3")):
     """Nondegenerate lattice tetrahedron given by four integer vertices."""
 
-    v0: Vec3
-    v1: Vec3
-    v2: Vec3
-    v3: Vec3
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for p in self.vertices():
+    def __init__(self, v0: Vec3, v1: Vec3, v2: Vec3, v3: Vec3) -> None:
+        for p in self:
             if type(p) is not tuple or len(p) != 3 or not (
                 type(p[0]) is int and type(p[1]) is int and type(p[2]) is int
             ):
@@ -72,7 +68,7 @@ class Tetrahedron:
             )
 
     def vertices(self) -> tuple[Vec3, Vec3, Vec3, Vec3]:
-        return (self.v0, self.v1, self.v2, self.v3)
+        return tuple(self)
 
     def edge_vectors(self) -> tuple[Vec3, Vec3, Vec3]:
         """The three edge vectors based at v0."""

@@ -3,13 +3,15 @@
 Everything works on plain integer 3-tuples and row-major 3x3 tuples of
 tuples.  Python integers are unbounded, so every determinant, cross
 product and inverse below is exact; no floating point appears anywhere
-in this package.
+in this package.  AffineUnimodularMap, like the package's other value
+types, is an immutable named tuple: it unpacks like a tuple and compares
+equal to the plain tuple of its fields.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 Vec3 = tuple[int, int, int]
 Mat3 = tuple[Vec3, Vec3, Vec3]
@@ -141,8 +143,9 @@ def adjugate(m: Mat3) -> Mat3:
     )
 
 
-@dataclass(frozen=True)
-class AffineUnimodularMap:
+class AffineUnimodularMap(
+    namedtuple("AffineUnimodularMap", "matrix translation", defaults=(ZERO,))
+):
     """Affine map p -> matrix @ p + translation with det(matrix) = +-1.
 
     These are exactly the affine bijections of the lattice Z^3, so
@@ -150,11 +153,10 @@ class AffineUnimodularMap:
     only where they sit.
     """
 
-    matrix: Mat3
-    translation: Vec3 = ZERO
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        d = det3(self.matrix)
+    def __init__(self, matrix: Mat3, translation: Vec3 = ZERO) -> None:
+        d = det3(matrix)
         if d not in (1, -1):
             raise ValueError(f"matrix is not unimodular (det = {d})")
 

@@ -40,7 +40,7 @@ NotNormalizableError is raised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import permutations
 
 from .geometry import Tetrahedron
@@ -70,12 +70,10 @@ class NotNormalizableError(ValueError):
     """No vertex-role assignment has a primitive face pair."""
 
 
-@dataclass(frozen=True)
-class NormalizationResult:
+class NormalizationResult(namedtuple("NormalizationResult", "map form")):
     """A witnessing unimodular map together with the form it produces."""
 
-    map: AffineUnimodularMap
-    form: CanonicalForm
+    __slots__ = ()
 
 
 def normalize(t: Tetrahedron, roles: RoleAssignment = IDENTITY_ROLES) -> NormalizationResult:

@@ -10,7 +10,6 @@ import math
 import random
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
 
 from .geometry import (
     bruteforce_verdicts,
@@ -48,13 +47,12 @@ _C_MAX_RANGE = {"white": (1, 35), "coplanar": (2, 48), "fn": (3, 200), "normaliz
 _MAX_TRIALS = 7000
 
 
-@dataclass
 class Tally:
-    passed: int = 0
-    failed: int = 0
+    def __init__(self) -> None:
+        self.passed = 0
+        self.failed = 0
 
 
-@dataclass
 class VerificationReport:
     """Outcome of one suite: parameters, per-check tallies, counterexamples.
 
@@ -63,12 +61,13 @@ class VerificationReport:
     counting, so a broken criterion cannot flood the report.
     """
 
-    suite: str
-    params: dict
-    tallies: dict = field(default_factory=dict)
-    counterexamples: list = field(default_factory=list)
-    duration_seconds: float = 0.0
-    started: float = field(default_factory=time.perf_counter, repr=False)
+    def __init__(self, suite: str, params: dict) -> None:
+        self.suite = suite
+        self.params = params
+        self.tallies: dict[str, Tally] = {}
+        self.counterexamples: list[str] = []
+        self.duration_seconds = 0.0
+        self.started = time.perf_counter()
 
     def record(self, check: str, ok: bool, detail: str) -> None:
         tally = self.tallies.setdefault(check, Tally())

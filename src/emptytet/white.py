@@ -18,27 +18,21 @@ fraction form and the brute-force oracle by the verification suites.
 """
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(namedtuple("CanonicalForm", "a b c")):
     """Parameters (a, b, c) of the standard tetrahedron T(a, b, c)."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (type(self.a) is int and type(self.b) is int and type(self.c) is int):
-            raise TypeError(f"a, b, c must be ints, got {self.a!r}, {self.b!r}, {self.c!r}")
-        if self.c < 1:
-            raise ValueError(f"c must be >= 1, got {self.c}")
-        if not (0 <= self.a < self.c and 0 <= self.b < self.c):
-            raise ValueError(
-                f"need 0 <= a, b < c, got a={self.a}, b={self.b}, c={self.c}"
-            )
+    def __init__(self, a: int, b: int, c: int) -> None:
+        if not (type(a) is int and type(b) is int and type(c) is int):
+            raise TypeError(f"a, b, c must be ints, got {a!r}, {b!r}, {c!r}")
+        if c < 1:
+            raise ValueError(f"c must be >= 1, got {c}")
+        if not (0 <= a < c and 0 <= b < c):
+            raise ValueError(f"need 0 <= a, b < c, got a={a}, b={b}, c={c}")
 
     @property
     def d(self) -> int:
@@ -46,8 +40,12 @@ class CanonicalForm:
         return (1 - self.a - self.b) % self.c
 
 
-def frac_multiple(k: int, n: int, c: int) -> Fraction:
+def frac_multiple(k: int, n: int, c: int):
     """Exact fractional part <k*n/c> as a Fraction with denominator dividing c."""
+    # Imported here, as in satisfies_fraction_system, the only other user:
+    # fractions pulls in decimal and numbers, about 1.4 ms a process.
+    from fractions import Fraction
+
     if c < 1:
         raise ValueError(f"c must be >= 1, got {c}")
     return Fraction(k * n % c, c)
@@ -83,6 +81,8 @@ def satisfies_fraction_system(form: CanonicalForm) -> bool:
     Checks <k*a/c> + <k*b/c> + <k*d/c> - k/c == 1 for every k = 1..c-1,
     in Fraction arithmetic.
     """
+    from fractions import Fraction
+
     _require_clean_with_height(form)
     a, b, c, d = form.a, form.b, form.c, form.d
     return all(
