@@ -149,21 +149,6 @@ def _bounding_box(points) -> tuple[range, range, range]:
 _MAX_SCAN_POINTS = 20_000_000
 
 
-def _solve(forms, first: int, last: int) -> range:
-    """The integers v in first..last with b + s*v >= 0 for every (b, s) in
-    forms: a rising form bounds v below, a falling one above, and a
-    constant negative one leaves none."""
-    lo, hi = first, last
-    for b, s in forms:
-        if s > 0:
-            lo = max(lo, -(b // s))
-        elif s < 0:
-            hi = min(hi, b // -s)
-        elif b < 0:
-            return range(0)
-    return range(lo, hi + 1)
-
-
 def _points_in(forms, corners) -> Iterator[tuple[Vec3, int]]:
     """The scan core: every lattice point p of the integer bounding box of
     corners with dot(n, p) + k >= 0 for every form (n, k) in forms.
@@ -192,14 +177,30 @@ def _points_in(forms, corners) -> Iterator[tuple[Vec3, int]]:
             for (bx, by, bz), bk in forms:
                 if bz < 0:
                     shadow.append((az * bx - bz * ax, az * by - bz * ay, az * bk - bz * ak))
+    # Split by the sign of y: a rising shadow form bounds y below, a falling
+    # one above, and a y-free one keeps or drops the whole x.
+    rising = [f for f in shadow if f[1] > 0]
+    falling = [f for f in shadow if f[1] < 0]
+    free = [(ax, k) for ax, ay, k in shadow if ay == 0]
     xr, yr, zr = _bounding_box(corners)
     z_first, z_last = zr[0], zr[-1]
     row = len(yr) * len(zr)
     for x in xr[: _MAX_SCAN_POINTS // row]:
+        y_lo, y_hi = yr[0], yr[-1]
+        for ax, ay, k in rising:
+            q = -((ax * x + k) // ay)
+            if q > y_lo:
+                y_lo = q
+        for ax, ay, k in falling:
+            q = (ax * x + k) // -ay
+            if q < y_hi:
+                y_hi = q
+        if y_lo > y_hi or any(ax * x + k < 0 for ax, k in free):
+            continue
         at_x = [(nx * x + k, ny, nz) for (nx, ny, nz), k in forms]
-        for y in _solve([(ax * x + k, ay) for ax, ay, k in shadow], yr[0], yr[-1]):
-            # _solve for z, inlined because it runs once per row; the
-            # z-free forms are >= 0 on the whole shadow.
+        for y in range(y_lo, y_hi + 1):
+            # The z-range, solved the same way; the z-free forms are >= 0
+            # on the whole shadow.
             lo, hi = z_first, z_last
             for r, ny, nz in at_x:
                 if nz > 0:

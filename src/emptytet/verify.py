@@ -10,6 +10,7 @@ import math
 import random
 import time
 from bisect import bisect_right
+from collections.abc import Callable
 
 from .geometry import (
     bruteforce_verdicts,
@@ -34,7 +35,7 @@ from .white import (
 _MAX_COUNTEREXAMPLES = 50
 
 # Each suite's smallest and largest c_max.  The largest is a budget: a run
-# at it took 1.0-1.2 s (white), 3.2-3.7 s (coplanar), 0.9-1.1 s (fn) and
+# at it took 0.6-0.8 s (white), 1.8-2.3 s (coplanar), 0.4-0.6 s (fn) and
 # 0.5-0.8 s and 16 MB (normalize, 1000 trials; 2.6-3.8 s at 7000 trials)
 # through `emptytet verify` on a 2-core VM with Python 3.11.  The budgets
 # grow in the CLI's run order, so a c_max past any selected suite's budget
@@ -69,14 +70,16 @@ class VerificationReport:
         self.duration_seconds = 0.0
         self.started = time.perf_counter()
 
-    def record(self, check: str, ok: bool, detail: str) -> None:
-        tally = self.tallies.setdefault(check, Tally())
+    def record(self, check: str, ok: bool, detail: Callable[[], str]) -> None:
+        """Count one check; detail() makes its text only if it is kept."""
+        if (tally := self.tallies.get(check)) is None:
+            tally = self.tallies[check] = Tally()
         if ok:
             tally.passed += 1
         else:
             tally.failed += 1
             if len(self.counterexamples) < _MAX_COUNTEREXAMPLES:
-                self.counterexamples.append(f"{check}: {detail}")
+                self.counterexamples.append(f"{check}: {detail()}")
 
     def finish(self) -> "VerificationReport":
         """Set duration_seconds to the time since the report was made."""
@@ -131,12 +134,12 @@ def verify_white(c_max: int = 25) -> VerificationReport:
                 report.record(
                     "empty_criterion_vs_oracle",
                     empty == empty_oracle,
-                    f"T({a},{b},{c}): criterion {empty}, oracle {empty_oracle}",
+                    lambda: f"T({a},{b},{c}): criterion {empty}, oracle {empty_oracle}",
                 )
                 report.record(
                     "clean_criterion_vs_oracle",
                     clean == clean_oracle,
-                    f"T({a},{b},{c}): criterion {clean}, oracle {clean_oracle}",
+                    lambda: f"T({a},{b},{c}): criterion {clean}, oracle {clean_oracle}",
                 )
     return report.finish()
 
@@ -154,28 +157,25 @@ def verify_coplanarity(c_max: int = 25) -> VerificationReport:
             report.record(
                 "interior_count_is_c_minus_1",
                 len(points) == c - 1,
-                f"P({a},{b},{c}): {len(points)} points",
+                lambda: f"P({a},{b},{c}): {len(points)} points",
             )
+            tag = lambda: f"P({a},{b},{c})"
             report.record(
                 "generator_matches_scan",
                 sorted(points) == parallelepiped_interior_bruteforce(a, b, c),
-                f"P({a},{b},{c})",
+                tag,
             )
             if not white_empty(form):
                 continue
             if a == 1:
-                report.record(
-                    "plane_x", all(p[0] == 1 for p in points), f"P({a},{b},{c})"
-                )
+                report.record("plane_x", all(p[0] == 1 for p in points), tag)
             if b == 1:
-                report.record(
-                    "plane_y", all(p[1] == 1 for p in points), f"P({a},{b},{c})"
-                )
+                report.record("plane_y", all(p[1] == 1 for p in points), tag)
             if form.d == 1:
                 report.record(
                     "plane_x_plus_y_minus_z",
                     all(p[0] + p[1] - p[2] == 1 for p in points),
-                    f"P({a},{b},{c})",
+                    tag,
                 )
     return report.finish()
 
@@ -186,28 +186,27 @@ def verify_floor_steps(c_max: int = 100) -> VerificationReport:
     of size n - 1, and complementary slopes have complementary steps."""
     report = _start("fn", c_max)
     for c in range(2, c_max + 1):
-        for n in (n for n in range(1, c) if math.gcd(n, c) == 1):
+        rows = {n: _floor_steps(n, c) for n in range(1, c) if math.gcd(n, c) == 1}
+        for n, row in rows.items():
             support = floor_step_support(n, c)
             if n == 1:
-                report.record(
-                    "unit_slope_empty_support", support == set(), f"n=1, c={c}"
-                )
+                report.record("unit_slope_empty_support", support == set(), lambda: f"n=1, c={c}")
             else:
                 closed_form = {k * c // n for k in range(1, n)}
                 report.record(
                     "support_closed_form",
                     support == closed_form,
-                    f"n={n}, c={c}: {sorted(support)} vs {sorted(closed_form)}",
+                    lambda: f"n={n}, c={c}: {sorted(support)} vs {sorted(closed_form)}",
                 )
                 report.record(
                     "support_size",
                     len(support) == n - 1,
-                    f"n={n}, c={c}: |support| = {len(support)}",
+                    lambda: f"n={n}, c={c}: |support| = {len(support)}",
                 )
             report.record(
                 "complement_identity",
-                _floor_steps(c - n, c) == [1 - step for step in _floor_steps(n, c)],
-                f"n={n}, c={c}",
+                rows[c - n] == [1 - step for step in row],
+                lambda: f"n={n}, c={c}",
             )
     return report.finish()
 
@@ -283,21 +282,21 @@ def verify_normalization(
         report.record(
             "volume_preserved",
             volume6(image) == form.c and result.form.c == form.c,
-            f"{tag}: volume6 {volume6(image)}, got c {result.form.c}",
+            lambda: f"{tag}: volume6 {volume6(image)}, got c {result.form.c}",
         )
         report.record(
             "canonical_form_round_trip",
             result.form == base_forms[form],
-            f"{tag}: {result.form} vs {base_forms[form]}",
+            lambda: f"{tag}: {result.form} vs {base_forms[form]}",
         )
         witness_image = {result.map(p) for p in image.vertices()}
         expected = {ZERO, E1, E2, (result.form.a, result.form.b, result.form.c)}
         report.record(
-            "witness_map_sound", witness_image == expected, f"{tag}: {witness_image}"
+            "witness_map_sound", witness_image == expected, lambda: f"{tag}: {witness_image}"
         )
         report.record(
             "result_form_clean",
             is_clean_form(result.form),
-            f"{tag}: {result.form}",
+            lambda: f"{tag}: {result.form}",
         )
     return report.finish()

@@ -346,7 +346,7 @@ def test_verify_runs_suites_in_fixed_order(run):
 def test_verify_counterexample_exits_one(run, monkeypatch):
     def planted_failure(c_max=25):
         report = VerificationReport("white", {"c_max": c_max})
-        report.record("empty_criterion_vs_oracle", False, "planted")
+        report.record("empty_criterion_vs_oracle", False, lambda: "planted")
         return report
 
     monkeypatch.setattr("emptytet.cli.verify_white", planted_failure)

@@ -9,6 +9,8 @@ from emptytet.geometry import (
     DegenerateTetrahedronError,
     PointLocation,
     Tetrahedron,
+    _face_forms,
+    _points_in,
     bruteforce_verdicts,
     is_empty_bruteforce,
     is_primitive_pair,
@@ -21,7 +23,7 @@ from emptytet.geometry import (
     triangle_is_empty_bruteforce,
     volume6,
 )
-from emptytet.intlin import cross, det3, gcd_vec, sub
+from emptytet.intlin import ZERO, add, cross, det3, dot, gcd_vec, neg, sub
 from emptytet.verify import random_unimodular_map
 
 UNIT = Tetrahedron((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -163,6 +165,62 @@ ROW_CASES = [
 ]
 
 
+def scan_oracle(forms, corners):
+    """Box walk: every lattice point of the corners' bounding box where
+    each form is >= 0, with the number of forms vanishing there."""
+    ranges = [range(min(p[i] for p in corners), max(p[i] for p in corners) + 1) for i in range(3)]
+    walk = []
+    for p in itertools.product(*ranges):
+        values = [dot(n, p) + k for n, k in forms]
+        if min(values) >= 0:
+            walk.append((p, values.count(0)))
+    return walk
+
+
+def y_solve_kinds(forms, corners):
+    """The branches of the scan core's y-solve a region reaches: its
+    shadow forms (z eliminated) by the sign of their y coefficient, and
+    the box's x-values that a y-free form or the y-bounds leave empty."""
+    shadow = [(ax, ay, k) for (ax, ay, az), k in forms if az == 0]
+    shadow += [
+        (az * bx - bz * ax, az * by - bz * ay, az * bk - bz * ak)
+        for (ax, ay, az), ak in forms if az > 0
+        for (bx, by, bz), bk in forms if bz < 0
+    ]
+    kinds = {("y-free form", "y-rising form", "y-falling form")[(ay > 0) - (ay < 0)] for _, ay, _ in shadow}
+    xs, ys = [p[0] for p in corners], [p[1] for p in corners]
+    for x in range(min(xs), max(xs) + 1):
+        if any(ay == 0 and ax * x + k < 0 for ax, ay, k in shadow):
+            kinds.add("x cut by a y-free form")
+        elif not any(
+            all(ax * x + ay * y + k >= 0 for ax, ay, k in shadow)
+            for y in range(min(ys), max(ys) + 1)
+        ):
+            kinds.add("x cut by its y-bounds")
+    return kinds
+
+
+def parallelepiped_region(a, b, c):
+    """Strict interior of the parallelepiped spanned by e1, e2, (a, b, c)
+    as forms >= 0: 0 < z < c, 0 < x*c - z*a < c, 0 < y*c - z*b < c."""
+    forms = []
+    for n in ((0, 0, 1), (c, 0, -a), (0, c, -b)):
+        forms += [(n, -1), (neg(n), c - 1)]
+    return forms, (ZERO, (a + 1, b + 1, c))
+
+
+def plane_region(u, v, far_sides):
+    """The closed triangle (far side (1, 1)) or parallelogram (far sides
+    (1, 0), (0, 1)) spanned by u, v as forms >= 0, in scaled coordinates
+    s = det(p, v, n) and t = det(u, p, n) with n = cross(u, v)."""
+    n = cross(u, v)
+    sv, tu = cross(v, n), cross(n, u)
+    forms = [(n, 0), (neg(n), 0), (sv, 0), (tu, 0)]
+    forms += [(tuple(-i * a - j * b for a, b in zip(sv, tu)), dot(n, n)) for i, j in far_sides]
+    corners = (ZERO, u, v) if len(far_sides) == 1 else (ZERO, u, v, add(u, v))
+    return forms, corners
+
+
 def test_lattice_points_match_fraction_oracle():
     rng = random.Random(47)
     sample = []
@@ -188,7 +246,18 @@ def test_lattice_points_match_fraction_oracle():
         xs, ys = {v[0] for v in verts}, {v[1] for v in verts}
         if len({p[:2] for p, _ in got}) < (max(xs) - min(xs) + 1) * (max(ys) - min(ys) + 1):
             kinds.add("row missing t")
-    assert len(kinds) == 3
+        kinds |= y_solve_kinds(_face_forms(t), verts)
+    # The same walk, zeros included, over the parallelepiped and plane regions.
+    planes = []
+    while len(planes) < 300:
+        u, v = (tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(2))
+        if cross(u, v) != ZERO:
+            planes += [plane_region(u, v, ((1, 1),)), plane_region(u, v, ((1, 0), (0, 1)))]
+    boxes = [parallelepiped_region(a, b, c) for c in range(1, 9) for a in range(c) for b in range(c)]
+    for forms, corners in boxes + planes:
+        assert list(_points_in(forms, corners)) == scan_oracle(forms, corners), (forms, corners)
+        kinds |= y_solve_kinds(forms, corners)
+    assert len(kinds) == 8, kinds
 
 
 def test_oracles_stop_at_first_deciding_point():

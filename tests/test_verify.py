@@ -4,7 +4,7 @@ import pytest
 
 from emptytet import verify
 from emptytet.cli import _suites
-from emptytet.geometry import standard_tetrahedron
+from emptytet.geometry import parallelepiped_interior_points, standard_tetrahedron
 from emptytet.intlin import det3
 from emptytet.verify import (
     _C_MAX_RANGE,
@@ -21,13 +21,13 @@ from emptytet.white import empty_forms
 
 def test_report_record_and_ok():
     report = VerificationReport("demo", {"n": 1})
-    report.record("alpha", True, "fine")
-    report.record("alpha", True, "fine")
-    report.record("beta", True, "fine")
+    report.record("alpha", True, lambda: "fine")
+    report.record("alpha", True, lambda: "fine")
+    report.record("beta", True, lambda: "fine")
     assert report.ok
     assert report.cases == 3
     assert report.counterexamples == []
-    report.record("beta", False, "broke at 7")
+    report.record("beta", False, lambda: "broke at 7")
     assert not report.ok
     assert report.counterexamples == ["beta: broke at 7"]
     assert report.tallies["beta"].failed == 1
@@ -35,11 +35,57 @@ def test_report_record_and_ok():
 
 def test_report_counterexample_cap():
     report = VerificationReport("demo", {})
+    made = []
     for i in range(200):
-        report.record("check", False, f"case {i}")
+        report.record("check", False, lambda: made.append(i) or f"case {i}")
     assert report.tallies["check"].failed == 200
-    assert len(report.counterexamples) == 50
+    assert report.counterexamples == [f"check: case {i}" for i in range(50)]
+    assert made == list(range(50))
     assert not report.ok
+
+
+# Each suite with one criterion planted wrong at one known case: the
+# counterexample text is pinned byte for byte.
+def test_white_planted_counterexample(monkeypatch):
+    wrong = verify.white_empty
+    monkeypatch.setattr(verify, "white_empty", lambda form: wrong(form) != (form == (1, 1, 2)))
+    report = verify_white(3)
+    assert report.tallies["empty_criterion_vs_oracle"].failed == 1
+    assert report.counterexamples == [
+        "empty_criterion_vs_oracle: T(1,1,2): criterion False, oracle True"
+    ]
+
+
+def test_coplanar_planted_counterexample(monkeypatch):
+    def points(a, b, c):
+        got = parallelepiped_interior_points(a, b, c)
+        # At P(1,2,5) drop the last point and move the first off the plane x = 1.
+        return [(2, *got[0][1:])] + got[1:-1] if (a, b, c) == (1, 2, 5) else got
+
+    monkeypatch.setattr(verify, "parallelepiped_interior_points", points)
+    report = verify_coplanarity(6)
+    assert report.counterexamples == [
+        "interior_count_is_c_minus_1: P(1,2,5): 3 points",
+        "generator_matches_scan: P(1,2,5)",
+        "plane_x: P(1,2,5)",
+    ]
+
+
+def test_fn_planted_counterexample(monkeypatch):
+    support, steps = verify.floor_step_support, verify._floor_steps
+    monkeypatch.setattr(
+        verify, "floor_step_support", lambda n, c: support(n, c) | ({1} if (n, c) == (3, 7) else set())
+    )
+    monkeypatch.setattr(
+        verify, "_floor_steps", lambda n, c: [1 - s for s in steps(n, c)] if (n, c) == (2, 5) else steps(n, c)
+    )
+    report = verify_floor_steps(7)
+    assert report.counterexamples == [
+        "complement_identity: n=2, c=5",
+        "complement_identity: n=3, c=5",
+        "support_closed_form: n=3, c=7: [1, 2, 4] vs [2, 4]",
+        "support_size: n=3, c=7: |support| = 3",
+    ]
 
 
 def test_report_to_dict_shape():
