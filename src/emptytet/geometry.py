@@ -6,10 +6,9 @@ exact ones guarded by asserts.  The *_bruteforce functions scan an integer
 bounding box and serve as ground truth for the fast number-theoretic
 criteria in `white`.  One scan core does all the scanning: `_points_in`
 takes a polytope as affine forms that are >= 0 on it (the four faces of a
-tetrahedron; a triangle or parallelogram in a lattice plane; the strict
-sides of a parallelepiped) and yields its lattice points, solving the
-interval each (x, y) row of the box has inside it rather than visiting
-the box point by point.
+tetrahedron, or the strict sides of a parallelepiped) and yields its
+lattice points, solving the interval each (x, y) row of the box has
+inside it rather than visiting the box point by point.
 
 A tetrahedron is *empty* when its only lattice points are its four
 vertices, and *clean* when its boundary carries no lattice points besides
@@ -33,7 +32,6 @@ from .intlin import (
     cross,
     det3,
     dot,
-    gcd_vec,
     neg,
     sub,
 )
@@ -121,14 +119,6 @@ _LOCATION_BY_ZEROS = (
 )
 
 
-def locate(t: Tetrahedron, p: Vec3) -> PointLocation:
-    """Exact location of p relative to t from four determinant signs."""
-    d = [dot(n, p) + k for n, k in _face_forms(t)]
-    if min(d) < 0:
-        return PointLocation.OUTSIDE
-    return _LOCATION_BY_ZEROS[d.count(0)]
-
-
 def _bounding_box(points) -> tuple[range, range, range]:
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
@@ -141,7 +131,7 @@ def _bounding_box(points) -> tuple[range, range, range]:
 
 
 # Lattice points in the scanned bounding box that the scan accepts per
-# call, for the tetrahedron, plane and parallelepiped oracles alike: past
+# call, for the tetrahedron and parallelepiped oracles alike: past
 # it an oracle refuses rather than running for hours.  On a 2-core VM with
 # Python 3.11, full boxes of 20M points around thin tetrahedra took 0.03 s
 # when cube-shaped, 1.5 s when 5 points deep in z and 4.0 s when 2 deep
@@ -248,50 +238,6 @@ def bruteforce_verdicts(t: Tetrahedron) -> tuple[bool, bool]:
         elif zeros != 3:
             return False, False
     return empty, True
-
-
-def _plane_coefficients(u: Vec3, v: Vec3) -> Vec3:
-    n = cross(u, v)
-    if n == ZERO:
-        raise ValueError(f"linearly dependent pair: {u}, {v}")
-    return n
-
-
-def is_primitive_pair(u: Vec3, v: Vec3) -> bool:
-    """True when independent u, v extend to a lattice basis (gcd of cross is 1)."""
-    return gcd_vec(_plane_coefficients(u, v)) == 1
-
-
-def _plane_region_is_empty(
-    u: Vec3, v: Vec3, corners: tuple[Vec3, ...], far_sides: tuple[tuple[int, int], ...]
-) -> bool:
-    """No lattice point of a closed region spanned by u, v except the
-    given corners, by the scan core over the corners' bounding box.
-
-    With n = cross(u, v) and nn = dot(n, n), an in-plane p is
-    (s*u + t*v) / nn for the scaled coordinates s = det(p, v, n) and
-    t = det(u, p, n).  The region is the plane dot(n, p) = 0 with s >= 0,
-    t >= 0 and i*s + j*t <= nn for every (i, j) in far_sides, all passed
-    to the core as forms >= 0.
-    """
-    n = _plane_coefficients(u, v)
-    nn = dot(n, n)
-    sv = cross(v, n)  # s = dot(p, sv)
-    tu = cross(n, u)  # t = dot(p, tu)
-    forms = [(n, 0), (neg(n), 0), (sv, 0), (tu, 0)]
-    for i, j in far_sides:
-        forms.append((tuple(-i * a - j * b for a, b in zip(sv, tu)), nn))
-    return all(p in corners for p, _ in _points_in(forms, corners))
-
-
-def triangle_is_empty_bruteforce(u: Vec3, v: Vec3) -> bool:
-    """Oracle: the closed triangle {0, u, v} has no lattice point except its vertices."""
-    return _plane_region_is_empty(u, v, (ZERO, u, v), ((1, 1),))
-
-
-def parallelogram_is_empty_bruteforce(u: Vec3, v: Vec3) -> bool:
-    """Oracle: the closed parallelogram spanned by u, v has only its 4 corners."""
-    return _plane_region_is_empty(u, v, (ZERO, u, v, add(u, v)), ((1, 0), (0, 1)))
 
 
 def parallelepiped_interior_points(a: int, b: int, c: int) -> list[Vec3]:

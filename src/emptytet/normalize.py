@@ -7,7 +7,9 @@ whose rows are written once for a chosen assignment of vertex roles
 
 1. the edge vectors u, v from the origin-role vertex toward the e1/e2-role
    vertices form a primitive pair exactly when that face is an empty
-   triangle; complete them to a lattice basis (u, v, w) of determinant +1.
+   triangle (tests/test_normalize.py checks this decision against the
+   tetrahedron scan of `geometry`); complete them to a lattice basis
+   (u, v, w) of determinant +1.
    M starts as the inverse of (u | v | w), whose rows are cross(v, w),
    cross(w, u), cross(u, v); it sends u, v to e1, e2 and the apex edge
    to some (A, B, c');

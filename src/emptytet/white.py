@@ -13,8 +13,10 @@ d = (1 - a - b) mod c.  Writing <x> for the fractional part of x:
   a, b, c, d equals 1.
 
 The equation system can be rewritten with the 0/1 staircase increments
-floor_step below, which is cheaper and is checked against both the
-fraction form and the brute-force oracle by the verification suites.
+floor_step below, which is cheaper.  tests/test_white.py and acceptance
+criterion 3 (tests/test_acceptance.py) check it against both the
+fraction form and the brute-force oracle; no verify suite calls either
+system.
 """
 
 import math

@@ -13,17 +13,13 @@ from emptytet.geometry import (
     _points_in,
     bruteforce_verdicts,
     is_empty_bruteforce,
-    is_primitive_pair,
     lattice_points_in,
-    locate,
     parallelepiped_interior_bruteforce,
     parallelepiped_interior_points,
-    parallelogram_is_empty_bruteforce,
     standard_tetrahedron,
-    triangle_is_empty_bruteforce,
     volume6,
 )
-from emptytet.intlin import ZERO, add, cross, det3, dot, gcd_vec, neg, sub
+from emptytet.intlin import ZERO, add, cross, det3, dot, neg, sub
 from emptytet.verify import random_unimodular_map
 
 UNIT = Tetrahedron((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -98,36 +94,6 @@ def test_volume6():
                 assert volume6(standard_tetrahedron(a, b, c)) == c
 
 
-def test_locate_frozen_cases():
-    t = standard_tetrahedron(1, 1, 2)
-    assert locate(t, (1, 1, 1)) == PointLocation.OUTSIDE
-    assert locate(UNIT, (1, 1, 1)) == PointLocation.OUTSIDE
-    for v in t.vertices():
-        assert locate(t, v) == PointLocation.VERTEX
-    big = Tetrahedron((0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4))
-    assert locate(big, (1, 1, 1)) == PointLocation.INTERIOR
-    assert locate(big, (2, 0, 0)) == PointLocation.BOUNDARY_NON_VERTEX
-    assert locate(big, (1, 1, 2)) == PointLocation.BOUNDARY_NON_VERTEX  # on far face
-    assert locate(big, (5, 0, 0)) == PointLocation.OUTSIDE
-
-
-def test_locate_matches_barycentric_oracle():
-    for t in LOCATE_CASES:
-        for p in box_points(t):
-            assert locate(t, p) == locate_oracle(t, p), (t, p)
-
-
-def test_locate_unimodular_invariance():
-    rng = random.Random(19)
-    t = standard_tetrahedron(2, 3, 7)
-    pts = list(box_points(t))
-    for _ in range(10):
-        m = random_unimodular_map(rng)
-        img = t.transformed(m)
-        for p in pts:
-            assert locate(img, m(p)) == locate(t, p)
-
-
 def test_lattice_points_unit_tetrahedron():
     pts = lattice_points_in(UNIT)
     assert pts == [
@@ -150,7 +116,7 @@ def test_lattice_points_lex_order_and_locations():
     assert [p for p, _ in pts] == sorted(p for p, _ in pts)
     assert any(loc == PointLocation.INTERIOR for _, loc in pts)
     for p, loc in pts:
-        assert locate(t, p) == loc
+        assert locate_oracle(t, p) == loc
 
 
 # A face through (0, 0, 0), (0, 0, 1) and (2, 1, 0) is parallel to the z
@@ -276,10 +242,7 @@ def test_oracles_refuse_boxes_past_the_scan_budget():
     for oracle in (lattice_points_in, is_empty_bruteforce, bruteforce_verdicts):
         with pytest.raises(ValueError, match="budget"):
             oracle(t)
-    # Boxes of 50M (2 x 5001 x 5001) and 27M (301^3) points.
-    for oracle in (triangle_is_empty_bruteforce, parallelogram_is_empty_bruteforce):
-        with pytest.raises(ValueError, match="budget"):
-            oracle((1, 0, 0), (0, 5000, 5000))
+    # A box of 27M (301^3) points.
     with pytest.raises(ValueError, match="budget"):
         parallelepiped_interior_bruteforce(299, 299, 300)
 
@@ -316,51 +279,10 @@ def test_oracle_invariant_under_unimodular_maps():
         for _ in range(3):
             m = random_unimodular_map(rng, min_factors=2, max_factors=4, shear_bound=2)
             assert bruteforce_verdicts(t.transformed(m)) == want, (a, b, c)
-
-
-def test_primitive_pair_cases():
-    assert is_primitive_pair((1, 0, 0), (0, 1, 0))
-    assert not is_primitive_pair((2, 0, 0), (0, 1, 0))
-    assert is_primitive_pair((1, 0, 0), (4, 2, 5))
-    with pytest.raises(ValueError):
-        is_primitive_pair((2, 4, 6), (1, 2, 3))
-    with pytest.raises(ValueError):
-        triangle_is_empty_bruteforce((0, 0, 0), (1, 2, 3))
-
-
-def test_triangle_parallelogram_frozen():
-    assert triangle_is_empty_bruteforce((1, 0, 0), (0, 1, 0))
-    assert parallelogram_is_empty_bruteforce((1, 0, 0), (0, 1, 0))
-    assert not triangle_is_empty_bruteforce((2, 0, 0), (0, 1, 0))
-    assert not parallelogram_is_empty_bruteforce((2, 0, 0), (0, 1, 0))
-    # non-primitive pair of primitive vectors: midpoint of the diagonal edge
-    assert not triangle_is_empty_bruteforce((1, 2, 0), (1, 0, 2))
-
-
-def test_three_way_equivalence_exhaustive_small():
-    rng = range(-2, 3)
-    vecs = list(itertools.product(rng, rng, rng))
-    for u in vecs:
-        for v in vecs:
-            if cross(u, v) == (0, 0, 0):
-                continue
-            primitive = gcd_vec(cross(u, v)) == 1
-            assert triangle_is_empty_bruteforce(u, v) == primitive, (u, v)
-            assert parallelogram_is_empty_bruteforce(u, v) == primitive, (u, v)
-
-
-def test_three_way_equivalence_seeded_sample():
-    rng = random.Random(41)
-    checked = 0
-    while checked < 400:
-        u = tuple(rng.randint(-6, 6) for _ in range(3))
-        v = tuple(rng.randint(-6, 6) for _ in range(3))
-        if cross(u, v) == (0, 0, 0):
-            continue
-        primitive = gcd_vec(cross(u, v)) == 1
-        assert triangle_is_empty_bruteforce(u, v) == primitive, (u, v)
-        assert parallelogram_is_empty_bruteforce(u, v) == primitive, (u, v)
-        checked += 1
+            # the map carries each point to one of the same location
+            assert sorted((m(p), loc) for p, loc in lattice_points_in(t)) == lattice_points_in(
+                t.transformed(m)
+            ), (a, b, c)
 
 
 def test_parallelepiped_points_frozen():

@@ -1,18 +1,21 @@
 import math
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
 from emptytet.geometry import (
     DegenerateTetrahedronError,
+    PointLocation,
     Tetrahedron,
+    _face_forms,
     is_empty_bruteforce,
+    lattice_points_in,
     standard_tetrahedron,
     volume6,
 )
 import emptytet.normalize
-from emptytet.intlin import IDENTITY, AffineUnimodularMap, NotPrimitiveError, extend_to_basis
+from emptytet.intlin import IDENTITY, ZERO, AffineUnimodularMap, NotPrimitiveError, cross, dot, extend_to_basis
 from emptytet.normalize import (
     NotNormalizableError,
     _face_weights,
@@ -168,10 +171,10 @@ def test_face_weights_match_every_role_on_scrambled_forms():
                 assert_face_weights_match_every_role(t.transformed(random_unimodular_map(rng)))
 
 
-def random_tetrahedra(rng, count):
-    """count non-degenerate tetrahedra with vertices in [-6, 6]^3."""
+def random_tetrahedra(rng, count, bound=6):
+    """count non-degenerate tetrahedra with vertices in [-bound, bound]^3."""
     while count:
-        vertices = [tuple(rng.randint(-6, 6) for _ in range(3)) for _ in range(4)]
+        vertices = [tuple(rng.randint(-bound, bound) for _ in range(3)) for _ in range(4)]
         try:
             t = Tetrahedron(*vertices)
         except DegenerateTetrahedronError:
@@ -183,6 +186,33 @@ def random_tetrahedra(rng, count):
 def test_face_weights_match_every_role_on_random_tetrahedra():
     for t in random_tetrahedra(random.Random(34), 1000):
         assert_face_weights_match_every_role(t)
+
+
+def test_face_primitivity_matches_the_tetrahedron_scan():
+    # The fact normalize rests on: a face is an empty triangle exactly when
+    # its edge vectors form a primitive pair.  The scan finds the faces
+    # holding a lattice point besides their vertices; _face_weights must
+    # reject exactly those, and canonicalize must refuse exactly the inputs
+    # where all four are rejected.
+    vecs = list(product(range(-2, 3), repeat=3))
+    sweep = [Tetrahedron(ZERO, u, v, cross(u, v)) for u in vecs for v in vecs if cross(u, v) != ZERO]
+    outcomes = set()
+    for t in sweep + list(random_tetrahedra(random.Random(36), 1000, bound=3)):
+        forms = _face_forms(t)
+        full = [False] * 4
+        for p, loc in lattice_points_in(t):
+            if loc is not PointLocation.VERTEX:
+                for l, (n, k) in enumerate(forms):
+                    full[l] |= dot(n, p) + k == 0
+        assert [face is None for face in _face_weights(t.vertices())] == full, t
+        try:
+            canonicalize(t)
+            refused = False
+        except NotNormalizableError:
+            refused = True
+        assert refused == all(full), t
+        outcomes.add(refused)
+    assert outcomes == {False, True}  # both occur
 
 
 def count_extend_to_basis_calls(monkeypatch, t):
