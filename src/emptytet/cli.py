@@ -5,11 +5,13 @@ is UTF-8 with LF line endings and is byte-stable for fixed inputs and
 flags; wall-clock timings therefore go to stderr as `#` comment lines.
 
 Exit codes: 0 success, 1 a verification counterexample or an oracle
-disagreement was found, 2 usage or input error.
+disagreement was found, 2 usage or input error, 141 (128 + SIGPIPE) the
+reader closed standard output early, e.g. `emptytet enumerate 99991 | head`.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from .geometry import (
@@ -370,7 +372,14 @@ def main(argv=None) -> int:
             return 0
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone: point stdout at devnull so the flush at exit
+        # cannot fail again, print nothing, and exit like a SIGPIPE kill.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,10 +20,10 @@ whose rows are written once for a chosen assignment of vertex roles
 `canonicalize` keeps the lexicographically smallest (c, a, b) over all 24
 role assignments, giving a deterministic canonical form; two tetrahedra
 are unimodular-equivalent when their canonical forms coincide.  It
-scores the assignments before any map is made, with one basis per face
-rather than one per assignment.  For the face opposite vertex l, with
-vertices i, j, k, take u = p_j - p_i, v = p_k - p_i, their completion w
-and p_l - p_i = alpha u + beta v + gamma w.  Then
+scores the assignments before any map is made, with one basis per
+tetrahedron rather than one per assignment.  For the face opposite vertex
+l, with vertices i, j, k, take u = p_j - p_i, v = p_k - p_i, their
+completion w and p_l - p_i = alpha u + beta v + gamma w.  Then
 
     gamma w = p_l - W_i p_i - W_j p_j - W_k p_k,
     (W_i, W_j, W_k) = (1 - alpha - beta, alpha, beta).
@@ -34,16 +34,32 @@ sum to 1, differ from these by multiples of c = |gamma| only: the face
 weights mod c are the same for all six orders of the face.  Steps 1-3
 carry the assignment with apex l and e1, e2 roles on vertices x, y to
 T(W_x mod c, W_y mod c, c), and c = |det(u, v, p_l - p_i)| is six times
-the volume, the same for every assignment.  Only the winner's map is
-built and checked.  For clean tetrahedra every assignment succeeds; when
-no face spans an empty triangle nothing can be normalized and
-NotNormalizableError is raised.
+the volume, the same for every assignment.
+
+One face's weights give all four faces' (White's normal form, after
+Morrison-Stevens).  Each x in Z^3 is sum lambda_m p_m with sum lambda_m = 0
+and c lambda integral; x lies in the edge lattice exactly when lambda is
+integral, so the class of x modulo that lattice is c lambda mod c.  Take
+the first empty face, opposite l0, with its u, v, w and weights W.  The
+group Z^3 / (edge lattice) has order c and, as u and v are edges, is
+generated by the class of w, which is +-g, where g_m = W_m mod c on the
+face and g_l0 = -1 mod c.  For any face l with normal n, c lambda_l =
++-dot(n, x) takes every value mod c exactly when n is primitive, that is
+when face l is an empty triangle; as g generates, that holds exactly when
+gcd(g_l, c) == 1.  Then x -> c lambda_l mod c is a bijection from the
+group onto Z/c, and face l's own weights with -1 in slot l form the one
+class with -1 there: m g mod c with m = -g_l^-1 mod c.  So one basis per
+tetrahedron scores every assignment.  Only the winner's map is built and
+checked.  For clean tetrahedra every assignment succeeds; when no face
+spans an empty triangle nothing can be normalized and NotNormalizableError
+is raised.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from itertools import permutations
+from math import gcd
 
 from .geometry import Tetrahedron
 from .intlin import (
@@ -113,25 +129,37 @@ def normalize(t: Tetrahedron, roles: RoleAssignment = IDENTITY_ROLES) -> Normali
     return NormalizationResult(lmap, CanonicalForm(a, b, c))
 
 
-def _face_weights(verts: tuple[Vec3, Vec3, Vec3, Vec3]) -> list[tuple[int, dict[int, int]] | None]:
+# The vertices of the face opposite each vertex l, in increasing order.
+_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+
+
+def _face_weights(verts: tuple[Vec3, Vec3, Vec3, Vec3]) -> list[tuple[int, tuple[int, ...]] | None]:
     """For each vertex l, None when the face opposite l is not an empty
-    triangle, else (c, W) with W mapping each face vertex to its weight
-    mod c (module docstring)."""
-    faces: list[tuple[int, dict[int, int]] | None] = []
-    for l in range(4):
-        i, j, k = (x for x in range(4) if x != l)
+    triangle, else (c, W) with W[x] the weight mod c of each face vertex x
+    and W[l] = -1 mod c.  One basis, of the first empty face l0, gives the
+    generator g of the cyclic group; face l is empty exactly when
+    gcd(g[l], c) == 1, and then W = m g mod c with m = -g[l]^-1 mod c
+    (module docstring)."""
+    for l0, (i, j, k) in enumerate(_FACES):
         origin = verts[i]
         u = sub(verts[j], origin)
         v = sub(verts[k], origin)
         n = cross(u, v)
-        if gcd_vec(n) != 1:
-            faces.append(None)
-            continue
-        w = extend_to_basis(u, v)
-        p = sub(verts[l], origin)
-        c = abs(dot(n, p))
-        alpha, beta = dot(cross(v, w), p), dot(cross(w, u), p)
-        faces.append((c, {i: (1 - alpha - beta) % c, j: alpha % c, k: beta % c}))
+        if gcd_vec(n) == 1:
+            break
+    else:
+        return [None] * 4
+    w = extend_to_basis(u, v)
+    p = sub(verts[l0], origin)
+    c = abs(dot(n, p))
+    alpha, beta = dot(cross(v, w), p), dot(cross(w, u), p)
+    g = [0] * 4
+    g[i], g[j], g[k], g[l0] = (1 - alpha - beta) % c, alpha % c, beta % c, -1 % c
+    faces: list[tuple[int, tuple[int, ...]] | None] = [None] * 4
+    for l in range(l0, 4):
+        if gcd(g[l], c) == 1:
+            m = -pow(g[l], -1, c)
+            faces[l] = (c, tuple(m * x % c for x in g))
     return faces
 
 
@@ -141,10 +169,11 @@ def canonicalize(t: Tetrahedron) -> NormalizationResult:
     Assignments whose face pair is not primitive are skipped.  The rest
     are scored by the (c, a, b) that normalize would reach, read off the
     face weights of their apex's opposite face: the assignment
-    (origin, e1, e2, apex) scores (c, W[e1], W[e2]), so one basis per
-    face serves its six orders (module docstring).  The first smallest key
-    in enumeration order wins, and only its witness map is built and
-    checked.
+    (origin, e1, e2, apex) scores (c, W[e1], W[e2]).  All four faces'
+    weights are multiples of one generator g, so one basis per
+    tetrahedron serves every assignment (module docstring).  The first
+    smallest key in enumeration order wins, and only its witness map is
+    built and checked.
     """
     faces = _face_weights(t.vertices())
     best_key: tuple[int, int, int] | None = None

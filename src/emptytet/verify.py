@@ -36,14 +36,15 @@ _MAX_COUNTEREXAMPLES = 50
 
 # Each suite's smallest and largest c_max.  The largest is a budget: a run
 # at it took 0.6-0.8 s (white), 1.8-2.3 s (coplanar), 0.4-0.6 s (fn) and
-# 0.5-0.8 s and 16 MB (normalize, 1000 trials; 2.6-3.8 s at 7000 trials)
+# 0.3-0.4 s and 15 MB (normalize, 1000 trials; 2.0-2.5 s and 17 MB at
+# 7000 trials)
 # through `emptytet verify` on a 2-core VM with Python 3.11.  The budgets
 # grow in the CLI's run order, so a c_max past any selected suite's budget
 # stops the first suite that runs.
 _C_MAX_RANGE = {"white": (1, 35), "coplanar": (2, 48), "fn": (3, 200), "normalize": (1, 1000)}
 
 # The normalize suite's largest trial count: 7000 trials at the default
-# c_max took 1.6-2.1 s through `emptytet verify` on the same VM (about
+# c_max took 1.1-1.5 s through `emptytet verify` on the same VM (about
 # 0.2 ms a trial).
 _MAX_TRIALS = 7000
 

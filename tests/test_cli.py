@@ -438,3 +438,16 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1 1 1\n"
+
+
+def test_closed_pipe_exits_141_silently():
+    # a reader that stops early, like `emptytet enumerate 99991 | head -1`
+    with subprocess.Popen(
+        [sys.executable, "-m", "emptytet", "enumerate", "99991"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == b"a b d clause\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""

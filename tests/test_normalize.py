@@ -188,6 +188,30 @@ def test_face_weights_match_every_role_on_random_tetrahedra():
         assert_face_weights_match_every_role(t)
 
 
+def test_face_weights_match_every_role_at_large_sizes():
+    # the generator path far past the samples above: scrambled T(a, b, c)
+    # for large c, with units and non-units as a and b, each under the four
+    # rotations of its vertex order, and random tetrahedra in [-1000, 1000]^3
+    rng = random.Random(37)
+    sample = []
+    for c in (1009, 2310, 65536):
+        for a, b in ((1, 1), (1, c - 1), (0, 0), (2, 3), (6, 35), (c // 2, 5), (c - 2, 7)):
+            vertices = standard_tetrahedron(a, b, c).transformed(random_unimodular_map(rng)).vertices()
+            sample += (Tetrahedron(*vertices[r:], *vertices[:r]) for r in range(4))
+    sample += random_tetrahedra(rng, 300, bound=1000)
+    first_empty, gcd_rejects = set(), 0
+    for t in sample:
+        assert_face_weights_match_every_role(t)
+        empty = [face is not None for face in _face_weights(t.vertices())]
+        if any(empty):
+            l0 = empty.index(True)
+            first_empty.add(l0)
+            gcd_rejects += not all(empty[l0:])
+    # the generator comes from every face, and the gcd rule rejects faces
+    assert first_empty == {0, 1, 2, 3}
+    assert gcd_rejects > 0
+
+
 def test_face_primitivity_matches_the_tetrahedron_scan():
     # The fact normalize rests on: a face is an empty triangle exactly when
     # its edge vectors form a primitive pair.  The scan finds the faces
@@ -216,6 +240,7 @@ def test_face_primitivity_matches_the_tetrahedron_scan():
 
 
 def count_extend_to_basis_calls(monkeypatch, t):
+    """(extend_to_basis calls made by canonicalize(t), whether t normalizes)."""
     calls = []
 
     def counting(u, v):
@@ -226,22 +251,28 @@ def count_extend_to_basis_calls(monkeypatch, t):
     try:
         canonicalize(t)
     except NotNormalizableError:
-        pass
-    return len(calls)
+        return len(calls), False
+    return len(calls), True
 
 
-def test_canonicalize_extends_one_basis_per_face(monkeypatch):
-    # 4 faces plus the winner's map, however many of the 24 roles are valid
+def test_canonicalize_extends_one_basis_per_tetrahedron(monkeypatch):
+    # one basis for all four faces' weights plus one for the winner's map,
+    # however many of the 24 roles are valid; none when no face is empty
     rng = random.Random(35)
-    for c in range(1, 9):
-        for form in empty_forms(c):
-            t = standard_tetrahedron(form.a, form.b, form.c)
-            image = t.transformed(random_unimodular_map(rng))
-            assert count_extend_to_basis_calls(monkeypatch, image) <= 5
-    for t in random_tetrahedra(rng, 200):
-        assert count_extend_to_basis_calls(monkeypatch, t) <= 5
+    sample = [
+        standard_tetrahedron(form.a, form.b, form.c).transformed(random_unimodular_map(rng))
+        for c in range(1, 9)
+        for form in empty_forms(c)
+    ]
+    sample += random_tetrahedra(rng, 200)
     # every face of a doubled tetrahedron is non-primitive
-    assert count_extend_to_basis_calls(monkeypatch, DOUBLED_UNIT) == 0
+    sample.append(DOUBLED_UNIT)
+    outcomes = set()
+    for t in sample:
+        calls, normalizable = count_extend_to_basis_calls(monkeypatch, t)
+        assert calls == (2 if normalizable else 0), t
+        outcomes.add(normalizable)
+    assert outcomes == {False, True}  # both occur
 
 
 def unit_orbit_count(c):
