@@ -5,7 +5,7 @@ four vertices and *clean* when its boundary carries no lattice points
 besides the vertices.  This package decides both properties exactly,
 reduces tetrahedra to the standard form T(a, b, c) by affine unimodular
 maps, and cross-validates the number-theoretic criteria against
-brute-force lattice scans.  All arithmetic is exact integer or rational;
+brute-force lattice scans.  All arithmetic is exact and in integers;
 no floating point is used anywhere.
 
 The top level holds what the command line and the paper's claims use;

@@ -22,6 +22,7 @@ from .geometry import (
 )
 from .normalize import NotNormalizableError, canonicalize
 from .verify import (
+    _check_c_max,
     _check_trials,
     verify_coplanarity,
     verify_floor_steps,
@@ -240,6 +241,9 @@ def _cmd_verify(args) -> int:
     if args.trials is not None:
         _check_trials(args.trials)
     c_max = {} if args.max_c is None else {"c_max": args.max_c}
+    if args.max_c is not None:
+        for name in suites:
+            _check_c_max(name, args.max_c)
     reports = []
     for name, run in suites.items():
         report = run(**c_max, **(extra if run is verify_normalization else {}))

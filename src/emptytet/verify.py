@@ -19,7 +19,7 @@ from .geometry import (
     standard_tetrahedron,
     volume6,
 )
-from .intlin import E1, E2, IDENTITY, ZERO, AffineUnimodularMap, Mat3, mat_mul
+from .intlin import E1, E2, IDENTITY, ZERO, AffineUnimodularMap
 from .normalize import canonical_form, canonicalize
 from .white import (
     CanonicalForm,
@@ -38,9 +38,8 @@ _MAX_COUNTEREXAMPLES = 50
 # at it took 0.6-0.8 s (white), 1.8-2.3 s (coplanar), 0.4-0.6 s (fn) and
 # 0.3-0.4 s and 15 MB (normalize, 1000 trials; 2.0-2.5 s and 17 MB at
 # 7000 trials)
-# through `emptytet verify` on a 2-core VM with Python 3.11.  The budgets
-# grow in the CLI's run order, so a c_max past any selected suite's budget
-# stops the first suite that runs.
+# through `emptytet verify` on a 2-core VM with Python 3.11.  The CLI
+# checks c_max against every selected suite's range before any suite runs.
 _C_MAX_RANGE = {"white": (1, 35), "coplanar": (2, 48), "fn": (3, 200), "normalize": (1, 1000)}
 
 # The normalize suite's largest trial count: 7000 trials at the default
@@ -110,13 +109,19 @@ class VerificationReport:
         }
 
 
-def _start(suite: str, c_max: int, **params) -> VerificationReport:
-    """The suite's empty report, once c_max is within the suite's range."""
+def _check_c_max(suite: str, c_max: int) -> None:
+    """Refuse a c_max outside the suite's range; the CLI calls this for
+    every selected suite before any of them runs."""
     low, high = _C_MAX_RANGE[suite]
     if c_max < low:
-        raise ValueError(f"c_max must be >= {low}, got {c_max}")
+        raise ValueError(f"the {suite} suite needs c_max >= {low}, got c_max = {c_max}")
     if c_max > high:
         raise ValueError(f"the {suite} suite exceeds its budget of c_max <= {high}, got c_max = {c_max}")
+
+
+def _start(suite: str, c_max: int, **params) -> VerificationReport:
+    """The suite's empty report, once c_max is within the suite's range."""
+    _check_c_max(suite, c_max)
     return VerificationReport(suite, {**params, "c_max": c_max})
 
 
@@ -220,28 +225,24 @@ def random_unimodular_map(
     translation_bound: int = 5,
 ) -> AffineUnimodularMap:
     """Random product of elementary shears, axis permutations and sign flips,
-    plus a bounded translation; unimodular by construction."""
-    m: Mat3 = IDENTITY
+    plus a bounded translation; unimodular by construction.  Each factor
+    acts on the left, as the row operation it is."""
+    rows = list(IDENTITY)
     for _ in range(rng.randint(min_factors, max_factors)):
         kind = rng.randrange(3)
         if kind == 0:
             i, j = rng.sample(range(3), 2)
             q = rng.randint(-shear_bound, shear_bound)
-            factor = [[1 if r == s else 0 for s in range(3)] for r in range(3)]
-            factor[i][j] = q
+            rows[i] = tuple(x + q * y for x, y in zip(rows[i], rows[j]))
         elif kind == 1:
-            perm = rng.sample(range(3), 3)
-            factor = [[1 if s == perm[r] else 0 for s in range(3)] for r in range(3)]
+            rows = [rows[s] for s in rng.sample(range(3), 3)]
         else:
             signs = [rng.choice((-1, 1)) for _ in range(3)]
-            factor = [
-                [signs[r] if r == s else 0 for s in range(3)] for r in range(3)
-            ]
-        m = mat_mul(tuple(tuple(row) for row in factor), m)
+            rows = [tuple(sign * x for x in row) for sign, row in zip(signs, rows)]
     translation = tuple(
         rng.randint(-translation_bound, translation_bound) for _ in range(3)
     )
-    return AffineUnimodularMap(m, translation)
+    return AffineUnimodularMap(tuple(rows), translation)
 
 
 def _check_trials(trials: int) -> None:

@@ -12,9 +12,10 @@ d = (1 - a - b) mod c.  Writing <x> for the fractional part of x:
 * White's criterion: T(a, b, c) is empty iff it is clean and one of
   a, b, c, d equals 1.
 
-The equation system can be rewritten with the 0/1 staircase increments
-floor_step below, which is cheaper.  tests/test_white.py and acceptance
-criterion 3 (tests/test_acceptance.py) check it against both the
+satisfies_fraction_system checks the equation system as c times itself,
+in integers.  It can also be rewritten with the 0/1 staircase increments
+floor_step below.  tests/test_white.py and acceptance criterion 3
+(tests/test_acceptance.py) check the staircase form against both the
 fraction form and the brute-force oracle; no verify suite calls either
 system.
 """
@@ -40,17 +41,6 @@ class CanonicalForm(namedtuple("CanonicalForm", "a b c")):
     def d(self) -> int:
         """Fourth parameter (1 - a - b) mod c, reduced to 0 <= d < c."""
         return (1 - self.a - self.b) % self.c
-
-
-def frac_multiple(k: int, n: int, c: int):
-    """Exact fractional part <k*n/c> as a Fraction with denominator dividing c."""
-    # Imported here, as in satisfies_fraction_system, the only other user:
-    # fractions pulls in decimal and numbers, about 1.4 ms a process.
-    from fractions import Fraction
-
-    if c < 1:
-        raise ValueError(f"c must be >= 1, got {c}")
-    return Fraction(k * n % c, c)
 
 
 def is_clean_form(form: CanonicalForm) -> bool:
@@ -80,21 +70,12 @@ def _require_clean_with_height(form: CanonicalForm) -> None:
 def satisfies_fraction_system(form: CanonicalForm) -> bool:
     """Exact emptiness system for a clean form with c > 1.
 
-    Checks <k*a/c> + <k*b/c> + <k*d/c> - k/c == 1 for every k = 1..c-1,
-    in Fraction arithmetic.
+    Checks <k*a/c> + <k*b/c> + <k*d/c> - k/c == 1 for every k = 1..c-1
+    as c times itself: the numerator of <k*n/c> is k*n % c.
     """
-    from fractions import Fraction
-
     _require_clean_with_height(form)
     a, b, c, d = form.a, form.b, form.c, form.d
-    return all(
-        frac_multiple(k, a, c)
-        + frac_multiple(k, b, c)
-        + frac_multiple(k, d, c)
-        - Fraction(k, c)
-        == 1
-        for k in range(1, c)
-    )
+    return all(k * a % c + k * b % c + k * d % c - k == c for k in range(1, c))
 
 
 def _require_coprime_slope(n: int, c: int) -> None:

@@ -374,9 +374,23 @@ def test_verify_rejects_unknown_suite(run):
 
 
 def test_verify_rejects_bad_max_c(run):
-    code, _, err = run("verify", "--suite", "white", "--max-c", "0")
+    code, out, err = run("verify", "--suite", "white", "--max-c", "0")
     assert code == 2
-    assert "error:" in err
+    assert out == ""
+    assert err == "error: the white suite needs c_max >= 1, got c_max = 0\n"
+
+
+@pytest.mark.parametrize("suites", [[], ["white", "fn"]])
+def test_verify_refuses_max_c_below_a_suite_range_before_any_suite_runs(run, suites):
+    # white and coplanar accept c_max = 2; the refusal still comes first,
+    # with no "# suite" timing line on stderr.
+    argv = ["verify", "--max-c", "2"]
+    for suite in suites:
+        argv += ["--suite", suite]
+    code, out, err = run(*argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: the fn suite needs c_max >= 3, got c_max = 2\n"
 
 
 @pytest.mark.parametrize(
@@ -386,7 +400,7 @@ def test_verify_rejects_bad_max_c(run):
         (["coplanar"], "the coplanar suite exceeds its budget of c_max <= 48"),
         (["fn"], "the fn suite exceeds its budget of c_max <= 200"),
         (["normalize"], "the normalize suite exceeds its budget of c_max <= 1000"),
-        # a suite within its budget runs first; the budgets grow in run order
+        # every selected suite's budget is checked before any suite runs
         (["normalize", "coplanar"], "the coplanar suite exceeds its budget of c_max <= 48"),
         ([], "the white suite exceeds its budget of c_max <= 35"),
     ],

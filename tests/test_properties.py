@@ -62,7 +62,8 @@ def points_argv(draw):
 @st.composite
 def verify_argv(draw):
     suites = draw(st.lists(st.sampled_from(list(_C_MAX_RANGE)), max_size=2))
-    # Past the smallest budget of the suites drawn, the first suite run refuses.
+    # Past the smallest budget of the suites drawn, the CLI refuses before
+    # any suite runs.
     budget = min(_C_MAX_RANGE[suite][1] for suite in suites or _C_MAX_RANGE)
     argv = ["verify", "--max-c", str(draw(st.one_of(ints(-1, 4), ints(budget + 1, 10**30))))]
     for suite in suites:

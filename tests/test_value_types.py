@@ -23,6 +23,8 @@ assert "emptytet.verify" in sys.modules
 from emptytet.white import CanonicalForm, satisfies_fraction_system
 assert satisfies_fraction_system(CanonicalForm(1, 2, 5))
 assert not satisfies_fraction_system(CanonicalForm(2, 2, 7))
+for name in ("fractions", "decimal"):
+    assert name not in sys.modules, name
 print("ok")
 """
 

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -14,7 +13,6 @@ from emptytet.white import (
     empty_forms,
     floor_step,
     floor_step_support,
-    frac_multiple,
     is_clean_form,
     satisfied_clause,
     satisfies_fraction_system,
@@ -59,27 +57,6 @@ def test_d_in_range_and_involution():
                 d = CanonicalForm(a, b, c).d
                 assert 0 <= d < c
                 assert (a + b + d) % c == 1 % c
-
-
-def test_frac_multiple_basic():
-    assert frac_multiple(1, 1, 2) == Fraction(1, 2)
-    assert frac_multiple(3, 2, 5) == Fraction(1, 5)
-    assert frac_multiple(5, 3, 5) == 0
-    assert frac_multiple(2, -3, 7) == Fraction(1, 7)
-    with pytest.raises(ValueError):
-        frac_multiple(1, 1, 0)
-
-
-def test_frac_complement_identity():
-    # <k*l/c> + <k*(c-l)/c> == 1 whenever c does not divide k*l
-    for c in range(2, 60):
-        for l in coprime_range(c):
-            for k in range(1, c):
-                assert frac_multiple(k, l, c) + frac_multiple(k, c - l, c) == 1, (
-                    k,
-                    l,
-                    c,
-                )
 
 
 def test_is_clean_frozen():
