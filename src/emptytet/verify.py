@@ -26,8 +26,8 @@ from .white import (
     _empty_form_at,
     _empty_form_count,
     _floor_steps,
+    _support,
     clean_forms,
-    floor_step_support,
     is_clean_form,
     white_empty,
 )
@@ -35,7 +35,7 @@ from .white import (
 _MAX_COUNTEREXAMPLES = 50
 
 # Each suite's smallest and largest c_max.  The largest is a budget: a run
-# at it took 0.6-0.8 s (white), 1.8-2.3 s (coplanar), 0.4-0.6 s (fn) and
+# at it took 0.6-0.8 s (white), 1.8-2.3 s (coplanar), 0.2-0.35 s (fn) and
 # 0.3-0.4 s and 15 MB (normalize, 1000 trials; 2.0-2.5 s and 17 MB at
 # 7000 trials)
 # through `emptytet verify` on a 2-core VM with Python 3.11.  The CLI
@@ -194,7 +194,7 @@ def verify_floor_steps(c_max: int = 100) -> VerificationReport:
     for c in range(2, c_max + 1):
         rows = {n: _floor_steps(n, c) for n in range(1, c) if math.gcd(n, c) == 1}
         for n, row in rows.items():
-            support = floor_step_support(n, c)
+            support = _support(row)
             if n == 1:
                 report.record("unit_slope_empty_support", support == set(), lambda: f"n=1, c={c}")
             else:

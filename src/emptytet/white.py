@@ -14,7 +14,11 @@ d = (1 - a - b) mod c.  Writing <x> for the fractional part of x:
 
 satisfies_fraction_system checks the equation system as c times itself,
 in integers.  It can also be rewritten with the 0/1 staircase increments
-floor_step below.  tests/test_white.py and acceptance criterion 3
+floor_step below.  _floor_steps builds a whole row of them without a
+division, from the remainder identity (k+1)*n = c*floor(k*n/c) + k*n % c + n,
+and floor_step_support reads its set off that row; the closed form
+{floor(k*c/n) : k = 1..n-1} of the support stays the independent check of
+the fn verify suite.  tests/test_white.py and acceptance criterion 3
 (tests/test_acceptance.py) check the staircase form against both the
 fraction form and the brute-force oracle; no verify suite calls either
 system.
@@ -22,6 +26,7 @@ system.
 
 import math
 from collections import namedtuple
+from itertools import compress, count
 
 
 class CanonicalForm(namedtuple("CanonicalForm", "a b c")):
@@ -98,19 +103,37 @@ def floor_step(n: int, c: int, k: int) -> int:
 
 
 def _floor_steps(n: int, c: int) -> list[int]:
-    """The row [floor_step(n, c, k) for k in 1..c-2], with (n, c) checked once."""
+    """The row [floor_step(n, c, k) for k in 1..c-2], with (n, c) checked once.
+
+    Walks the remainder r = k*n mod c instead of dividing for each k: since
+    (k+1)*n = c*floor(k*n/c) + r + n with 0 <= r < c and n < c, the step
+    at k is 1 exactly when r + n >= c, and then the next remainder is
+    r + n - c.
+    """
     _require_coprime_slope(n, c)
-    return [(k + 1) * n // c - k * n // c for k in range(1, c - 1)]
+    row = [0] * (c - 2)
+    r = n
+    for i in range(c - 2):
+        r += n
+        if r >= c:
+            r -= c
+            row[i] = 1
+    return row
+
+
+def _support(row: list[int]) -> set[int]:
+    """The k (counting from 1) where a staircase row of _floor_steps is 1."""
+    return set(compress(count(1), row))
 
 
 def floor_step_support(n: int, c: int) -> set[int]:
     """The set of k in 1..c-2 where floor_step(n, c, k) is 1.
 
-    Computed from the definition; the closed form {floor(k*c/n) : k=1..n-1}
-    is a theorem the verification suites check against, not the
-    implementation.
+    Read off the row _floor_steps builds by the remainder identity; the
+    closed form {floor(k*c/n) : k=1..n-1} is a theorem the verification
+    suites check against, not the implementation.
     """
-    return {k for k, step in enumerate(_floor_steps(n, c), 1) if step}
+    return _support(_floor_steps(n, c))
 
 
 def satisfies_step_system(form: CanonicalForm) -> bool:

@@ -15,6 +15,7 @@ UNCALLED = {
     "adjugate": "traced by bench/run.py",
     "compose": "traced by bench/run.py",
     "floor_step": "traced by bench/run.py",
+    "floor_step_support": "traced by bench/run.py; public API that tests/test_white.py checks",
     "lattice_points_in": "reference oracle the geometry and normalize tests compare against",
     "is_empty_bruteforce": "reference oracle the tests and the acceptance gate compare against",
     "satisfies_fraction_system": "the paper's emptiness system, checked by acceptance criterion 3",

@@ -1,8 +1,9 @@
+import math
 import random
 
 import pytest
 
-from emptytet import verify
+from emptytet import verify, white
 from emptytet.cli import _suites
 from emptytet.geometry import parallelepiped_interior_points, standard_tetrahedron
 from emptytet.intlin import det3
@@ -72,20 +73,46 @@ def test_coplanar_planted_counterexample(monkeypatch):
 
 
 def test_fn_planted_counterexample(monkeypatch):
-    support, steps = verify.floor_step_support, verify._floor_steps
-    monkeypatch.setattr(
-        verify, "floor_step_support", lambda n, c: support(n, c) | ({1} if (n, c) == (3, 7) else set())
-    )
-    monkeypatch.setattr(
-        verify, "_floor_steps", lambda n, c: [1 - s for s in steps(n, c)] if (n, c) == (2, 5) else steps(n, c)
-    )
+    steps = verify._floor_steps
+    planted = {
+        # flipped: its support and both complement checks at c = 5 break
+        (2, 5): [1, 0, 1],
+        # the step at k = 1 moved from n = 4 to n = 3: the complement
+        # identity still holds, the closed form and the size do not
+        (3, 7): [1, 1, 0, 1, 0],
+        (4, 7): [0, 0, 1, 0, 1],
+    }
+    assert [steps(2, 5), steps(3, 7), steps(4, 7)] == [[0, 1, 0], [0, 1, 0, 1, 0], [1, 0, 1, 0, 1]]
+    monkeypatch.setattr(verify, "_floor_steps", lambda n, c: planted.get((n, c)) or steps(n, c))
     report = verify_floor_steps(7)
     assert report.counterexamples == [
+        "support_closed_form: n=2, c=5: [1, 3] vs [2]",
+        "support_size: n=2, c=5: |support| = 2",
         "complement_identity: n=2, c=5",
         "complement_identity: n=3, c=5",
         "support_closed_form: n=3, c=7: [1, 2, 4] vs [2, 4]",
         "support_size: n=3, c=7: |support| = 3",
+        "support_closed_form: n=4, c=7: [3, 5] vs [1, 3, 5]",
+        "support_size: n=4, c=7: |support| = 2",
     ]
+
+
+def test_fn_builds_each_row_once(monkeypatch):
+    # one staircase row per coprime 0 < n < c <= c_max, sum of phi(c) rows,
+    # counted under both names a row can be built through
+    steps = white._floor_steps
+    for c_max in (3, 7, 40):
+        calls = []
+
+        def counting(n, c):
+            calls.append((n, c))
+            return steps(n, c)
+
+        monkeypatch.setattr(white, "_floor_steps", counting)
+        monkeypatch.setattr(verify, "_floor_steps", counting)
+        assert verify_floor_steps(c_max).ok
+        pairs = [(n, c) for c in range(2, c_max + 1) for n in range(1, c) if math.gcd(n, c) == 1]
+        assert calls == pairs
 
 
 def test_report_to_dict_shape():
