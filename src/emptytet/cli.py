@@ -10,7 +10,6 @@ reader closed standard output early, e.g. `emptytet enumerate 99991 | head`.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -55,6 +54,8 @@ def _print_json(args, **fields) -> None:
     """Print one JSON line: schema_version, then the subcommand, then fields."""
     payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **fields}
     _check_json_ints(payload)
+    import json  # only JSON output pays for loading it
+
     print(json.dumps(payload, separators=(", ", ": ")))
 
 

@@ -4,11 +4,14 @@ Every predicate is decided by signs of integer determinants; there is no
 floating point, and the only divisions are integer floor divisions and
 exact ones guarded by asserts.  The *_bruteforce functions scan an integer
 bounding box and serve as ground truth for the fast number-theoretic
-criteria in `white`.  One scan core does all the scanning: `_points_in`
-takes a polytope as affine forms that are >= 0 on it (the four faces of a
-tetrahedron, or the strict sides of a parallelepiped) and yields its
-lattice points, solving the interval each (x, y) row of the box has
-inside it rather than visiting the box point by point.
+criteria in `white`.  One scan core does all the scanning: `_rows` takes
+a polytope as affine forms that are >= 0 on it (the four faces of a
+tetrahedron, or the strict sides of a parallelepiped) and yields the
+z-interval each (x, y) row of the box has inside it, rather than visiting
+the box point by point.  The parallelepiped oracle reads those rows
+directly; the tetrahedron oracles read them through `_points_in`, which
+locates each point by the faces vanishing there and counts those only at
+the two ends of a row.
 
 A tetrahedron is *empty* when its only lattice points are its four
 vertices, and *clean* when its boundary carries no lattice points besides
@@ -139,78 +142,133 @@ def _bounding_box(points) -> tuple[range, range, range]:
 _MAX_SCAN_POINTS = 20_000_000
 
 
-def _points_in(forms, corners) -> Iterator[tuple[Vec3, int]]:
-    """The scan core: every lattice point p of the integer bounding box of
-    corners with dot(n, p) + k >= 0 for every form (n, k) in forms.
+def _rows(forms, corners) -> Iterator[tuple[int, int, int, int]]:
+    """The scan core: the rows of lattice points p of the integer bounding
+    box of corners with dot(n, p) + k >= 0 for every form (n, k) in forms.
 
-    Yields (p, zeros) in lexicographic (x, y, z) order, where zeros is the
-    number of forms vanishing at p; for a tetrahedron's four face forms
-    that is 0 for interior points, 3 for vertices and 1 or 2 for the rest
-    of the boundary.  The box is not visited point by point.  For each x,
-    the y-range of the polytope's shadow on the xy-plane is solved exactly
-    from the forms that eliminating z leaves; for each (x, y) row in it,
-    the z-interval where every form is >= 0 is solved the same way, and
-    only its points are visited.  So a scan costs the box's x-extent plus
-    the shadow's rows plus the polytope's points; callers stop at the
-    first point that decides.  Whole x-rows are scanned while the box
-    points so far stay within _MAX_SCAN_POINTS; the row that would pass
-    that budget raises ValueError.
+    Yields (x, y, z_lo, z_hi) for every (x, y) whose row holds such points,
+    in lexicographic order; they are the points (x, y, z) with
+    z_lo <= z <= z_hi.  The box is not visited point by point.  Once per
+    call, the forms are sorted: z-only forms narrow the call's z-range, and
+    the rest bound z from below (rising) or above (falling) by the sign of
+    their z coefficient.  Fourier-Motzkin gives the polytope's shadow on the
+    xy-plane, where every z-free form, and every positive combination of a
+    rising and a falling form that cancels z, is >= 0.  A y-free shadow
+    form narrows the call's x-interval, and a constant one keeps the
+    polytope or empties it; the rest bound y.  For each x in the interval
+    the y-range of the shadow is solved exactly, and for each (x, y) in
+    that the z-interval.  So a scan costs the x-interval plus the shadow's
+    rows, and a caller that stops early stops the scan.  Whole x-rows are
+    scanned while the box points so far stay within _MAX_SCAN_POINTS; after
+    the last of them, a box past that budget raises ValueError.
     """
-    # Fourier-Motzkin: the shadow is where every z-free form, and every
-    # positive combination of a rising and a falling form that cancels z,
-    # is >= 0.  Each is kept as (x, y, constant) coefficients.
-    shadow = []
+    xr, yr, zr = _bounding_box(corners)
+    row = len(yr) * len(zr)
+    x_lo, x_hi = xr[0], xr[0] + min(len(xr), _MAX_SCAN_POINTS // row) - 1
+    z_lo, z_hi = zr[0], zr[-1]
+    # Forms in z as (x, y, |z|, constant) coefficients, and the shadow's
+    # forms as (x, y, constant).
+    rising, falling, shadow = [], [], []
     for (ax, ay, az), ak in forms:
         if az == 0:
             shadow.append((ax, ay, ak))
-        elif az > 0:
+            continue
+        if az > 0:
             for (bx, by, bz), bk in forms:
                 if bz < 0:
                     shadow.append((az * bx - bz * ax, az * by - bz * ay, az * bk - bz * ak))
-    # Split by the sign of y: a rising shadow form bounds y below, a falling
-    # one above, and a y-free one keeps or drops the whole x.
-    rising = [f for f in shadow if f[1] > 0]
-    falling = [f for f in shadow if f[1] < 0]
-    free = [(ax, k) for ax, ay, k in shadow if ay == 0]
-    xr, yr, zr = _bounding_box(corners)
-    z_first, z_last = zr[0], zr[-1]
-    row = len(yr) * len(zr)
-    for x in xr[: _MAX_SCAN_POINTS // row]:
-        y_lo, y_hi = yr[0], yr[-1]
-        for ax, ay, k in rising:
+        if ax == ay == 0:
+            if az > 0:
+                z_lo = max(z_lo, -(ak // az))
+            else:
+                z_hi = min(z_hi, ak // -az)
+        elif az > 0:
+            rising.append((ax, ay, az, ak))
+        else:
+            falling.append((ax, ay, -az, ak))
+    if z_lo > z_hi:
+        x_hi = x_lo - 1
+    # Shadow forms rising in y bound it below, falling ones above.
+    y_rising, y_falling = [], []
+    for ax, ay, k in shadow:
+        if ay > 0:
+            y_rising.append((ax, ay, k))
+        elif ay < 0:
+            y_falling.append((ax, -ay, k))
+        elif ax > 0:
+            x_lo = max(x_lo, -(k // ax))
+        elif ax < 0:
+            x_hi = min(x_hi, k // -ax)
+        elif k < 0:
+            x_hi = x_lo - 1
+    y_first, y_last = yr[0], yr[-1]
+    for x in range(x_lo, x_hi + 1):
+        y_lo, y_hi = y_first, y_last
+        for ax, ay, k in y_rising:
             q = -((ax * x + k) // ay)
             if q > y_lo:
                 y_lo = q
-        for ax, ay, k in falling:
-            q = (ax * x + k) // -ay
+        for ax, ay, k in y_falling:
+            q = (ax * x + k) // ay
             if q < y_hi:
                 y_hi = q
-        if y_lo > y_hi or any(ax * x + k < 0 for ax, k in free):
+        if y_lo > y_hi:
             continue
-        at_x = [(nx * x + k, ny, nz) for (nx, ny, nz), k in forms]
+        up = [(nx * x + k, ny, nz) for nx, ny, nz, k in rising]
+        down = [(nx * x + k, ny, nz) for nx, ny, nz, k in falling]
         for y in range(y_lo, y_hi + 1):
-            # The z-range, solved the same way; the z-free forms are >= 0
-            # on the whole shadow.
-            lo, hi = z_first, z_last
-            for r, ny, nz in at_x:
-                if nz > 0:
-                    q = -((r + ny * y) // nz)
-                    if q > lo:
-                        lo = q
-                elif nz < 0:
-                    q = (r + ny * y) // -nz
-                    if q < hi:
-                        hi = q
-            for z in range(lo, hi + 1):
-                zeros = 0
-                for r, ny, nz in at_x:
-                    zeros += r + ny * y + nz * z == 0
-                yield (x, y, z), zeros
+            # The z-interval; the z-free forms hold on the whole shadow.
+            lo, hi = z_lo, z_hi
+            for r, ny, nz in up:
+                q = -((r + ny * y) // nz)
+                if q > lo:
+                    lo = q
+            for r, ny, nz in down:
+                q = (r + ny * y) // nz
+                if q < hi:
+                    hi = q
+            if lo <= hi:
+                yield x, y, lo, hi
     if len(xr) * row > _MAX_SCAN_POINTS:
         raise ValueError(
             f"oracle scan exceeds its budget of {_MAX_SCAN_POINTS} lattice points "
             f"(bounding box of {len(xr) * row} points)"
         )
+
+
+def _points_in(forms, corners) -> Iterator[tuple[Vec3, int]]:
+    """Point location on the scan core's rows: every point p of the rows
+    _rows(forms, corners) yields, as (p, zeros) in lexicographic (x, y, z)
+    order, where zeros is the number of forms vanishing at p.
+
+    For a tetrahedron's four face forms zeros is 0 for interior points, 3
+    for vertices and 1 or 2 for the rest of the boundary.  It is counted
+    once per row end, never per point: along a row the z-free forms are
+    constant, a rising form is >= 0 only from its root up, so within the
+    row it can vanish only at z_lo, and a falling form only at z_hi.
+    """
+    free, rising, falling = [], [], []
+    for (nx, ny, nz), k in forms:
+        if nz == 0:
+            free.append((nx, ny, k))
+        else:
+            (rising if nz > 0 else falling).append((nx, ny, nz, k))
+    for x, y, lo, hi in _rows(forms, corners):
+        zeros = 0
+        for nx, ny, k in free:
+            zeros += nx * x + ny * y + k == 0
+        at_lo = at_hi = zeros
+        for nx, ny, nz, k in rising:
+            at_lo += nx * x + ny * y + nz * lo + k == 0
+        for nx, ny, nz, k in falling:
+            at_hi += nx * x + ny * y + nz * hi + k == 0
+        if lo == hi:
+            yield (x, y, lo), at_lo + at_hi - zeros
+            continue
+        yield (x, y, lo), at_lo
+        for z in range(lo + 1, hi):
+            yield (x, y, z), zeros
+        yield (x, y, hi), at_hi
 
 
 def lattice_points_in(t: Tetrahedron) -> list[tuple[Vec3, PointLocation]]:
@@ -273,7 +331,8 @@ def parallelepiped_interior_bruteforce(a: int, b: int, c: int) -> list[Vec3]:
     p = (x, y, z) is interior iff its coefficients over the spanning
     vectors lie strictly between 0 and 1, i.e. 0 < z < c,
     0 < x*c - z*a < c and 0 < y*c - z*b < c, passed to the scan core as
-    forms >= 1 over the box from 0 to (a + 1, b + 1, c).  Lexicographic
+    forms >= 1 over the box from 0 to (a + 1, b + 1, c).  The points are
+    read off its rows, with no count of vanishing forms.  Lexicographic
     order.
     """
     CanonicalForm(a, b, c)  # validates types and ranges
@@ -285,4 +344,5 @@ def parallelepiped_interior_bruteforce(a: int, b: int, c: int) -> list[Vec3]:
         ((0, c, -b), -1),
         ((0, -c, b), c - 1),
     )
-    return [p for p, _ in _points_in(forms, (ZERO, (a + 1, b + 1, c)))]
+    rows = _rows(forms, (ZERO, (a + 1, b + 1, c)))
+    return [(x, y, z) for x, y, lo, hi in rows for z in range(lo, hi + 1)]

@@ -171,15 +171,15 @@ def satisfied_clause(form: CanonicalForm) -> str:
 
 
 def clean_forms(c: int) -> list[CanonicalForm]:
-    """All clean forms with third parameter c, in lexicographic (a, b) order."""
+    """All clean forms with third parameter c, in lexicographic (a, b) order.
+
+    One gcd per residue mod c finds the units; a, b and d must all be one.
+    """
     if c < 1:
         raise ValueError(f"c must be >= 1, got {c}")
-    return [
-        form
-        for a in range(c)
-        for b in range(c)
-        if is_clean_form(form := CanonicalForm(a, b, c))
-    ]
+    units = [k for k in range(c) if math.gcd(k, c) == 1]
+    unit_set = set(units)
+    return [CanonicalForm(a, b, c) for a in units for b in units if (1 - a - b) % c in unit_set]
 
 
 # Largest c that empty_forms and geometry.parallelepiped_interior_points

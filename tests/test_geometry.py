@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from emptytet import geometry
 from emptytet.geometry import (
     DegenerateTetrahedronError,
     PointLocation,
     Tetrahedron,
     _face_forms,
     _points_in,
+    _rows,
     bruteforce_verdicts,
     is_empty_bruteforce,
     lattice_points_in,
@@ -143,26 +145,51 @@ def scan_oracle(forms, corners):
     return walk
 
 
-def y_solve_kinds(forms, corners):
-    """The branches of the scan core's y-solve a region reaches: its
-    shadow forms (z eliminated) by the sign of their y coefficient, and
-    the box's x-values that a y-free form or the y-bounds leave empty."""
+def rows_of(walk):
+    """The box walk's points as the scan core's rows (x, y, z_lo, z_hi),
+    each checked to be one unbroken run of z."""
+    rows = {}
+    for (x, y, z), _ in walk:
+        rows.setdefault((x, y), []).append(z)
+    for zs in rows.values():
+        assert zs == list(range(zs[0], zs[-1] + 1)), zs
+    return [(x, y, zs[0], zs[-1]) for (x, y), zs in rows.items()]
+
+
+def scan_kinds(forms, corners, walk):
+    """The branches of the scan core a region reaches, found from its forms
+    and its box walk: z-only forms folded into the z-range, shadow forms (z
+    eliminated) by the sign of their y coefficient or, when constant, of
+    their value, the box's x-values that a y-free form or the y-bounds
+    leave empty, and one-point rows where a rising and a falling form both
+    vanish."""
+    kinds = {"z-only form folded" for (nx, ny, nz), _ in forms if nx == ny == 0 != nz}
     shadow = [(ax, ay, k) for (ax, ay, az), k in forms if az == 0]
     shadow += [
         (az * bx - bz * ax, az * by - bz * ay, az * bk - bz * ak)
         for (ax, ay, az), ak in forms if az > 0
         for (bx, by, bz), bk in forms if bz < 0
     ]
-    kinds = {("y-free form", "y-rising form", "y-falling form")[(ay > 0) - (ay < 0)] for _, ay, _ in shadow}
+    for ax, ay, k in shadow:
+        if ay:
+            kinds.add("y-rising form" if ay > 0 else "y-falling form")
+        elif ax:
+            kinds.add("y-free form")
+        else:
+            kinds.add("constant shadow form >= 0" if k >= 0 else "constant shadow form < 0")
     xs, ys = [p[0] for p in corners], [p[1] for p in corners]
     for x in range(min(xs), max(xs) + 1):
         if any(ay == 0 and ax * x + k < 0 for ax, ay, k in shadow):
-            kinds.add("x cut by a y-free form")
+            kinds.add("x-interval cut by a y-free form")
         elif not any(
             all(ax * x + ay * y + k >= 0 for ax, ay, k in shadow)
             for y in range(min(ys), max(ys) + 1)
         ):
             kinds.add("x cut by its y-bounds")
+    for x, y, lo, hi in rows_of(walk):
+        rising = {n[2] > 0 for n, k in forms if n[2] and dot(n, (x, y, lo)) + k == 0}
+        if lo == hi and rising == {True, False}:
+            kinds.add("one-point row where a rising and a falling form vanish")
     return kinds
 
 
@@ -185,6 +212,16 @@ def plane_region(u, v, far_sides):
     forms += [(tuple(-i * a - j * b for a, b in zip(sv, tu)), dot(n, n)) for i, j in far_sides]
     corners = (ZERO, u, v) if len(far_sides) == 1 else (ZERO, u, v, add(u, v))
     return forms, corners
+
+
+# Regions that the tetrahedra, parallelepipeds and planes do not reach: a
+# box that z-only forms cut on both sides (2 <= z <= 13/3), a slab between
+# two parallel planes, and an empty one.
+CUT_REGIONS = [
+    ([((0, 0, 1), -2), ((0, 0, -3), 13), ((1, -1, 1), 0)], ((0, 0, 0), (3, 3, 6))),
+    ([((1, 2, 3), 0), ((-1, -2, -3), 4)], ((-2, -2, -2), (2, 2, 2))),
+    ([((1, 2, 3), 0), ((-1, -2, -3), -1)], ((-2, -2, -2), (2, 2, 2))),
+]
 
 
 def test_lattice_points_match_fraction_oracle():
@@ -212,18 +249,36 @@ def test_lattice_points_match_fraction_oracle():
         xs, ys = {v[0] for v in verts}, {v[1] for v in verts}
         if len({p[:2] for p, _ in got}) < (max(xs) - min(xs) + 1) * (max(ys) - min(ys) + 1):
             kinds.add("row missing t")
-        kinds |= y_solve_kinds(_face_forms(t), verts)
-    # The same walk, zeros included, over the parallelepiped and plane regions.
+        walk = scan_oracle(_face_forms(t), verts)
+        assert list(_rows(_face_forms(t), verts)) == rows_of(walk), t
+        kinds |= scan_kinds(_face_forms(t), verts, walk)
+    # The same walk, zeros included, over the parallelepiped, plane and cut
+    # regions, and the scan core's rows against the walk's.
     planes = []
     while len(planes) < 300:
         u, v = (tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(2))
         if cross(u, v) != ZERO:
             planes += [plane_region(u, v, ((1, 1),)), plane_region(u, v, ((1, 0), (0, 1)))]
     boxes = [parallelepiped_region(a, b, c) for c in range(1, 9) for a in range(c) for b in range(c)]
-    for forms, corners in boxes + planes:
-        assert list(_points_in(forms, corners)) == scan_oracle(forms, corners), (forms, corners)
-        kinds |= y_solve_kinds(forms, corners)
-    assert len(kinds) == 8, kinds
+    for forms, corners in boxes + planes + CUT_REGIONS:
+        walk = scan_oracle(forms, corners)
+        assert list(_points_in(forms, corners)) == walk, (forms, corners)
+        assert list(_rows(forms, corners)) == rows_of(walk), (forms, corners)
+        kinds |= scan_kinds(forms, corners, walk)
+    assert kinds == {
+        "face parallel to z",
+        "negative orientation",
+        "row missing t",
+        "z-only form folded",
+        "y-free form",
+        "y-rising form",
+        "y-falling form",
+        "constant shadow form >= 0",
+        "constant shadow form < 0",
+        "x-interval cut by a y-free form",
+        "x cut by its y-bounds",
+        "one-point row where a rising and a falling form vanish",
+    }
 
 
 def test_oracles_stop_at_first_deciding_point():
@@ -237,6 +292,18 @@ def test_oracles_stop_at_first_deciding_point():
     assert time.perf_counter() - start < 2.0
 
 
+def test_empty_regions_scan_no_rows():
+    # A box of 20M points in as many rows, which a scan row by row takes
+    # several seconds to find empty: a negative constant shadow form (the
+    # slab 0 <= x + 2y + 3z <= -1), or a z-range that a z-only form (z >= 5)
+    # leaves empty, decides it before the first row.
+    corners = ((0, 0, 0), (1999, 9999, 0))
+    start = time.perf_counter()
+    assert list(_rows([((1, 2, 3), 0), ((-1, -2, -3), -1)], corners)) == []
+    assert list(_rows([((0, 0, 1), -5), ((1, 1, -1), 0)], corners)) == []
+    assert time.perf_counter() - start < 2.0
+
+
 def test_oracles_refuse_boxes_past_the_scan_budget():
     t = Tetrahedron((0, 0, 0), (1, 0, 0), (0, 1, 0), (1000, 1000, 1000001))
     for oracle in (lattice_points_in, is_empty_bruteforce, bruteforce_verdicts):
@@ -245,6 +312,42 @@ def test_oracles_refuse_boxes_past_the_scan_budget():
     # A box of 27M (301^3) points.
     with pytest.raises(ValueError, match="budget"):
         parallelepiped_interior_bruteforce(299, 299, 300)
+
+
+def points_until_refused(points):
+    """The points a scan yields before it raises ValueError naming its budget."""
+    got = []
+    with pytest.raises(ValueError, match="budget"):
+        for p in points:
+            got.append(p)
+    return got
+
+
+def test_scan_budget_edge(monkeypatch):
+    # Both boxes have points in their last non-empty x-row, and the
+    # tetrahedron a y-free face x >= 0, so a cap one x-row off shows.
+    t = Tetrahedron((0, 0, 0), (0, 2, 0), (0, 0, 3), (5, 1, 1))
+    regions = [
+        (_face_forms(t), t.vertices(), lambda: [p for p, _ in lattice_points_in(t)]),
+        (*parallelepiped_region(4, 3, 5), lambda: parallelepiped_interior_bruteforce(4, 3, 5)),
+    ]
+    for forms, corners, oracle in regions:
+        walk = scan_oracle(forms, corners)
+        extent = [max(p[i] for p in corners) - min(p[i] for p in corners) + 1 for i in range(3)]
+        row, box = extent[1] * extent[2], extent[0] * extent[1] * extent[2]
+        for budget in (box, box + 1, box - 1, box - row, box - row - 1, 2 * row, row, row - 1):
+            monkeypatch.setattr(geometry, "_MAX_SCAN_POINTS", budget)
+            if budget >= box:
+                assert oracle() == [p for p, _ in walk], budget
+                continue
+            with pytest.raises(ValueError, match="budget"):
+                oracle()
+            # The first budget // row x-rows, through both layers of the scan.
+            x_end = min(p[0] for p in corners) + budget // row
+            want = [(p, zeros) for p, zeros in walk if p[0] < x_end]
+            assert points_until_refused(_points_in(forms, corners)) == want, budget
+            rows = points_until_refused(_rows(forms, corners))
+            assert [(x, y, z) for x, y, lo, hi in rows for z in range(lo, hi + 1)] == [p for p, _ in want]
 
 
 def test_oracle_frozen_verdicts():

@@ -17,7 +17,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 IMPORT_AUDIT = """
 import sys
 import emptytet.cli
-for name in ("dataclasses", "inspect", "fractions", "decimal"):
+for name in ("dataclasses", "inspect", "fractions", "decimal", "json", "random"):
     assert name not in sys.modules, name
 assert "emptytet.verify" in sys.modules
 from emptytet.white import CanonicalForm, satisfies_fraction_system

@@ -254,6 +254,15 @@ def test_enumerators_consistent():
             assert 1 not in (f.a, f.b, f.c, f.d)
 
 
+def test_clean_forms_match_the_gcd_filter():
+    # the unit-table listing against the three-gcd test over every form, order included
+    for c in range(1, 121):
+        every = [CanonicalForm(a, b, c) for a in range(c) for b in range(c)]
+        assert clean_forms(c) == [f for f in every if is_clean_form(f)], c
+    with pytest.raises(ValueError, match="c must be >= 1"):
+        clean_forms(0)
+
+
 def test_empty_form_at_matches_listing():
     # the indexed pick against the family listing, every offset, order included
     for c in range(1, 121):
