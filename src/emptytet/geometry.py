@@ -8,7 +8,9 @@ criteria in `white`.  One scan core does all the scanning: `_rows` takes
 a polytope as affine forms that are >= 0 on it (the four faces of a
 tetrahedron, or the strict sides of a parallelepiped) and yields the
 z-interval each (x, y) row of the box has inside it, rather than visiting
-the box point by point.  The parallelepiped oracle reads those rows
+the box point by point: its cost is one pass over the corners and forms
+per call, one y-solve per x of the polytope's x-interval and one floor
+division per form per row.  The parallelepiped oracle reads those rows
 directly; the tetrahedron oracles read them through `_points_in`, which
 locates each point by the faces vanishing there and counts those only at
 the two ends of a row.
@@ -122,23 +124,14 @@ _LOCATION_BY_ZEROS = (
 )
 
 
-def _bounding_box(points) -> tuple[range, range, range]:
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    zs = [p[2] for p in points]
-    return (
-        range(min(xs), max(xs) + 1),
-        range(min(ys), max(ys) + 1),
-        range(min(zs), max(zs) + 1),
-    )
-
-
 # Lattice points in the scanned bounding box that the scan accepts per
 # call, for the tetrahedron and parallelepiped oracles alike: past
 # it an oracle refuses rather than running for hours.  On a 2-core VM with
-# Python 3.11, full boxes of 20M points around thin tetrahedra took 0.03 s
-# when cube-shaped, 1.5 s when 5 points deep in z and 4.0 s when 2 deep
-# with a shadow of 5M rows, the slowest shape.
+# Python 3.11, lattice_points_in over full boxes of 20M points around thin
+# tetrahedra with a vertex at 0 took 0.001 s when cube-shaped (e1, e2,
+# (270, 270, 271)), 1.2 s when 5 points deep in z ((1999, 1, 0),
+# (1, 1998, 4), (0, 1999, 4)) and 3.0 s when 2 deep with a shadow of 5M
+# rows ((1999, 1, 0), (1, 4998, 1), (0, 4999, 1)), the slowest shape.
 _MAX_SCAN_POINTS = 20_000_000
 
 
@@ -157,18 +150,25 @@ def _rows(forms, corners) -> Iterator[tuple[int, int, int, int]]:
     form narrows the call's x-interval, and a constant one keeps the
     polytope or empties it; the rest bound y.  For each x in the interval
     the y-range of the shadow is solved exactly, and for each (x, y) in
-    that the z-interval.  So a scan costs the x-interval plus the shadow's
-    rows, and a caller that stops early stops the scan.  Whole x-rows are
+    that the z-interval, from the rising and falling forms' x-parts, which
+    are kept once per call and step by their x coefficients as x advances.
+    So a scan costs one pass over the corners and forms per call, one
+    y-solve and one step of the row forms per x of the interval, one floor
+    division per form per row, and the points its caller reads; a caller
+    that stops early stops the scan.  Whole x-rows are
     scanned while the box points so far stay within _MAX_SCAN_POINTS; after
     the last of them, a box past that budget raises ValueError.
     """
-    xr, yr, zr = _bounding_box(corners)
-    row = len(yr) * len(zr)
-    x_lo, x_hi = xr[0], xr[0] + min(len(xr), _MAX_SCAN_POINTS // row) - 1
-    z_lo, z_hi = zr[0], zr[-1]
-    # Forms in z as (x, y, |z|, constant) coefficients, and the shadow's
-    # forms as (x, y, constant).
-    rising, falling, shadow = [], [], []
+    xs, ys, zs = zip(*corners)
+    x_lo, y_first, z_lo = min(xs), min(ys), min(zs)
+    y_last, z_hi = max(ys), max(zs)
+    row = (y_last - y_first + 1) * (z_hi - z_lo + 1)
+    box = (max(xs) - x_lo + 1) * row
+    x_hi = x_lo + min(box, _MAX_SCAN_POINTS) // row - 1
+    # Forms in z as [x-part, y, |z|], each x-part paired in steps with its
+    # x coefficient to advance it with x, and the shadow's forms as
+    # (x, y, constant).
+    rising, falling, steps, shadow = [], [], [], []
     for (ax, ay, az), ak in forms:
         if az == 0:
             shadow.append((ax, ay, ak))
@@ -182,10 +182,10 @@ def _rows(forms, corners) -> Iterator[tuple[int, int, int, int]]:
                 z_lo = max(z_lo, -(ak // az))
             else:
                 z_hi = min(z_hi, ak // -az)
-        elif az > 0:
-            rising.append((ax, ay, az, ak))
         else:
-            falling.append((ax, ay, -az, ak))
+            row_form = [ak, ay, abs(az)]
+            (rising if az > 0 else falling).append(row_form)
+            steps.append((row_form, ax))
     if z_lo > z_hi:
         x_hi = x_lo - 1
     # Shadow forms rising in y bound it below, falling ones above.
@@ -201,7 +201,8 @@ def _rows(forms, corners) -> Iterator[tuple[int, int, int, int]]:
             x_hi = min(x_hi, k // -ax)
         elif k < 0:
             x_hi = x_lo - 1
-    y_first, y_last = yr[0], yr[-1]
+    for row_form, ax in steps:
+        row_form[0] += ax * x_lo
     for x in range(x_lo, x_hi + 1):
         y_lo, y_hi = y_first, y_last
         for ax, ay, k in y_rising:
@@ -212,27 +213,25 @@ def _rows(forms, corners) -> Iterator[tuple[int, int, int, int]]:
             q = (ax * x + k) // ay
             if q < y_hi:
                 y_hi = q
-        if y_lo > y_hi:
-            continue
-        up = [(nx * x + k, ny, nz) for nx, ny, nz, k in rising]
-        down = [(nx * x + k, ny, nz) for nx, ny, nz, k in falling]
         for y in range(y_lo, y_hi + 1):
             # The z-interval; the z-free forms hold on the whole shadow.
             lo, hi = z_lo, z_hi
-            for r, ny, nz in up:
+            for r, ny, nz in rising:
                 q = -((r + ny * y) // nz)
                 if q > lo:
                     lo = q
-            for r, ny, nz in down:
+            for r, ny, nz in falling:
                 q = (r + ny * y) // nz
                 if q < hi:
                     hi = q
             if lo <= hi:
                 yield x, y, lo, hi
-    if len(xr) * row > _MAX_SCAN_POINTS:
+        for row_form, ax in steps:
+            row_form[0] += ax
+    if box > _MAX_SCAN_POINTS:
         raise ValueError(
             f"oracle scan exceeds its budget of {_MAX_SCAN_POINTS} lattice points "
-            f"(bounding box of {len(xr) * row} points)"
+            f"(bounding box of {box} points)"
         )
 
 

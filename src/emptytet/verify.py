@@ -34,7 +34,7 @@ from .white import (
 _MAX_COUNTEREXAMPLES = 50
 
 # Each suite's smallest and largest c_max.  The largest is a budget: a run
-# at it took 0.6-0.8 s (white), 1.5-2.0 s (coplanar), 0.2-0.35 s (fn) and
+# at it took 0.7-0.9 s (white), 1.4-1.8 s (coplanar), 0.2-0.35 s (fn) and
 # 0.3-0.4 s and 15 MB (normalize, 1000 trials; 2.0-2.5 s and 17 MB at
 # 7000 trials)
 # through `emptytet verify` on a 2-core VM with Python 3.11.  The CLI

@@ -161,8 +161,9 @@ def scan_kinds(forms, corners, walk):
     and its box walk: z-only forms folded into the z-range, shadow forms (z
     eliminated) by the sign of their y coefficient or, when constant, of
     their value, the box's x-values that a y-free form or the y-bounds
-    leave empty, and one-point rows where a rising and a falling form both
-    vanish."""
+    leave empty, rows at an x after one its y-bounds leave empty (the x-parts
+    of the row forms must advance over that x too), and one-point rows where
+    a rising and a falling form both vanish."""
     kinds = {"z-only form folded" for (nx, ny, nz), _ in forms if nx == ny == 0 != nz}
     shadow = [(ax, ay, k) for (ax, ay, az), k in forms if az == 0]
     shadow += [
@@ -177,6 +178,8 @@ def scan_kinds(forms, corners, walk):
             kinds.add("y-free form")
         else:
             kinds.add("constant shadow form >= 0" if k >= 0 else "constant shadow form < 0")
+    rows = rows_of(walk)
+    row_xs = {x for x, _, _, _ in rows}
     xs, ys = [p[0] for p in corners], [p[1] for p in corners]
     for x in range(min(xs), max(xs) + 1):
         if any(ay == 0 and ax * x + k < 0 for ax, ay, k in shadow):
@@ -186,7 +189,9 @@ def scan_kinds(forms, corners, walk):
             for y in range(min(ys), max(ys) + 1)
         ):
             kinds.add("x cut by its y-bounds")
-    for x, y, lo, hi in rows_of(walk):
+        elif "x cut by its y-bounds" in kinds and x in row_xs:
+            kinds.add("rows after an x its y-bounds leave empty")
+    for x, y, lo, hi in rows:
         rising = {n[2] > 0 for n, k in forms if n[2] and dot(n, (x, y, lo)) + k == 0}
         if lo == hi and rising == {True, False}:
             kinds.add("one-point row where a rising and a falling form vanish")
@@ -224,6 +229,19 @@ CUT_REGIONS = [
 ]
 
 
+# Tetrahedra whose x-interval the scan core steps across: a sliver whose
+# shadow leaves x = 1 and 2 without an integer y before its rows at x = 3,
+# tall enough that a falling face not stepped over them cuts too little;
+# a slab 2 deep in z whose x-columns hold up to 40 rows; and T(2, 3, 5)
+# under a unimodular map, whose 4 rows lie in an x-interval of 280, the
+# shape of a scrambled small form.
+STEP_CASES = [
+    Tetrahedron((0, 0, 0), (10, 3, 0), (10, 4, 0), (0, 0, 10)),
+    Tetrahedron((0, 0, 0), (40, 1, 0), (1, 40, 0), (7, 5, 1)),
+    Tetrahedron((-4, 4, 5), (-23, 4, 7), (-6, 5, 5), (-283, 7, 34)),
+]
+
+
 def test_lattice_points_match_fraction_oracle():
     rng = random.Random(47)
     sample = []
@@ -252,15 +270,16 @@ def test_lattice_points_match_fraction_oracle():
         walk = scan_oracle(_face_forms(t), verts)
         assert list(_rows(_face_forms(t), verts)) == rows_of(walk), t
         kinds |= scan_kinds(_face_forms(t), verts, walk)
-    # The same walk, zeros included, over the parallelepiped, plane and cut
-    # regions, and the scan core's rows against the walk's.
+    # The same walk, zeros included, over the stepping, parallelepiped,
+    # plane and cut regions, and the scan core's rows against the walk's.
     planes = []
     while len(planes) < 300:
         u, v = (tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(2))
         if cross(u, v) != ZERO:
             planes += [plane_region(u, v, ((1, 1),)), plane_region(u, v, ((1, 0), (0, 1)))]
     boxes = [parallelepiped_region(a, b, c) for c in range(1, 9) for a in range(c) for b in range(c)]
-    for forms, corners in boxes + planes + CUT_REGIONS:
+    steps = [(_face_forms(t), t.vertices()) for t in STEP_CASES]
+    for forms, corners in steps + boxes + planes + CUT_REGIONS:
         walk = scan_oracle(forms, corners)
         assert list(_points_in(forms, corners)) == walk, (forms, corners)
         assert list(_rows(forms, corners)) == rows_of(walk), (forms, corners)
@@ -277,6 +296,7 @@ def test_lattice_points_match_fraction_oracle():
         "constant shadow form < 0",
         "x-interval cut by a y-free form",
         "x cut by its y-bounds",
+        "rows after an x its y-bounds leave empty",
         "one-point row where a rising and a falling form vanish",
     }
 
@@ -309,9 +329,12 @@ def test_oracles_refuse_boxes_past_the_scan_budget():
     for oracle in (lattice_points_in, is_empty_bruteforce, bruteforce_verdicts):
         with pytest.raises(ValueError, match="budget"):
             oracle(t)
-    # A box of 27M (301^3) points.
-    with pytest.raises(ValueError, match="budget"):
+    # A box of 27M (301^3) points, counted from the corners' bounds.
+    with pytest.raises(ValueError) as refused:
         parallelepiped_interior_bruteforce(299, 299, 300)
+    assert str(refused.value) == (
+        "oracle scan exceeds its budget of 20000000 lattice points (bounding box of 27270901 points)"
+    )
 
 
 def points_until_refused(points):
