@@ -38,7 +38,6 @@ from .intlin import (
     det3,
     dot,
     neg,
-    sub,
 )
 from .white import _MAX_ENUMERATE_C, CanonicalForm
 
@@ -75,7 +74,12 @@ class Tetrahedron(namedtuple("Tetrahedron", "v0 v1 v2 v3")):
 
     def edge_vectors(self) -> tuple[Vec3, Vec3, Vec3]:
         """The three edge vectors based at v0."""
-        return (sub(self.v1, self.v0), sub(self.v2, self.v0), sub(self.v3, self.v0))
+        (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = self
+        return (
+            (x1 - x0, y1 - y0, z1 - z0),
+            (x2 - x0, y2 - y0, z2 - z0),
+            (x3 - x0, y3 - y0, z3 - z0),
+        )
 
     def transformed(self, m: AffineUnimodularMap) -> Tetrahedron:
         return Tetrahedron(m(self.v0), m(self.v1), m(self.v2), m(self.v3))

@@ -161,7 +161,14 @@ class AffineUnimodularMap(
             raise ValueError(f"matrix is not unimodular (det = {d})")
 
     def apply(self, p: Vec3) -> Vec3:
-        return add(mat_vec(self.matrix, p), self.translation)
+        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = self.matrix
+        x, y, z = p
+        tx, ty, tz = self.translation
+        return (
+            m00 * x + m01 * y + m02 * z + tx,
+            m10 * x + m11 * y + m12 * z + ty,
+            m20 * x + m21 * y + m22 * z + tz,
+        )
 
     __call__ = apply
 

@@ -49,10 +49,16 @@ when face l is an empty triangle; as g generates, that holds exactly when
 gcd(g_l, c) == 1.  Then x -> c lambda_l mod c is a bijection from the
 group onto Z/c, and face l's own weights with -1 in slot l form the one
 class with -1 there: m g mod c with m = -g_l^-1 mod c.  So one basis per
-tetrahedron scores every assignment.  Only the winner's map is built and
-checked.  For clean tetrahedra every assignment succeeds; when no face
-spans an empty triangle nothing can be normalized and NotNormalizableError
-is raised.
+tetrahedron scores every assignment.
+
+The scoring runs face by face.  A table lists the 24 assignments in
+`permutations` order, grouped by apex; each empty face l scores its six,
+(origin, e1, e2, l), by the key (W[e1], W[e2], roles).  c is the same for
+every assignment, so it is left out of the key, and the roles in it send
+ties to the first assignment in enumeration order.  Only the winner's map
+is built and checked, by one `normalize` call.  For clean tetrahedra every
+assignment succeeds; when no face spans an empty triangle nothing can be
+normalized and NotNormalizableError is raised.
 """
 
 from __future__ import annotations
@@ -73,7 +79,6 @@ from .intlin import (
     dot,
     extend_to_basis,
     gcd_vec,
-    mat_vec,
     neg,
     sub,
 )
@@ -118,13 +123,15 @@ def normalize(t: Tetrahedron, roles: RoleAssignment = IDENTITY_ROLES) -> Normali
     c = dot(z_row, apex)
     q1, a = divmod(dot(x_row, apex), c)
     q2, b = divmod(dot(y_row, apex), c)
-    rows = (
-        tuple(x - q1 * z for x, z in zip(x_row, z_row)),
-        tuple(y - q2 * z for y, z in zip(y_row, z_row)),
-        z_row,
+    (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = x_row, y_row, z_row
+    x0, x1, x2 = x0 - q1 * z0, x1 - q1 * z1, x2 - q1 * z2
+    y0, y1, y2 = y0 - q2 * z0, y1 - q2 * z1, y2 - q2 * z2
+    ox, oy, oz = origin
+    lmap = AffineUnimodularMap(
+        ((x0, x1, x2), (y0, y1, y2), z_row),
+        (-x0 * ox - x1 * oy - x2 * oz, -y0 * ox - y1 * oy - y2 * oz, -z0 * ox - z1 * oy - z2 * oz),
     )
-    lmap = AffineUnimodularMap(rows, neg(mat_vec(rows, origin)))
-    image = {lmap(p) for p in verts}
+    image = set(map(lmap, verts))
     assert image == {ZERO, E1, E2, (a, b, c)}, (t, roles, image)
     return NormalizationResult(lmap, CanonicalForm(a, b, c))
 
@@ -132,8 +139,15 @@ def normalize(t: Tetrahedron, roles: RoleAssignment = IDENTITY_ROLES) -> Normali
 # The vertices of the face opposite each vertex l, in increasing order.
 _FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 
+# For each apex l, its six assignments (origin, e1, e2, l) in permutations
+# order, each as (e1, e2, roles).
+_ORDERS_BY_APEX = tuple(
+    tuple((roles[1], roles[2], roles) for roles in permutations(range(4)) if roles[3] == l)
+    for l in range(4)
+)
 
-def _face_weights(verts: tuple[Vec3, Vec3, Vec3, Vec3]) -> list[tuple[int, tuple[int, ...]] | None]:
+
+def _face_weights(verts: tuple[Vec3, Vec3, Vec3, Vec3]) -> list[tuple[int, list[int]] | None]:
     """For each vertex l, None when the face opposite l is not an empty
     triangle, else (c, W) with W[x] the weight mod c of each face vertex x
     and W[l] = -1 mod c.  One basis, of the first empty face l0, gives the
@@ -155,42 +169,43 @@ def _face_weights(verts: tuple[Vec3, Vec3, Vec3, Vec3]) -> list[tuple[int, tuple
     alpha, beta = dot(cross(v, w), p), dot(cross(w, u), p)
     g = [0] * 4
     g[i], g[j], g[k], g[l0] = (1 - alpha - beta) % c, alpha % c, beta % c, -1 % c
-    faces: list[tuple[int, tuple[int, ...]] | None] = [None] * 4
+    faces: list[tuple[int, list[int]] | None] = [None] * 4
     for l in range(l0, 4):
         if gcd(g[l], c) == 1:
             m = -pow(g[l], -1, c)
-            faces[l] = (c, tuple(m * x % c for x in g))
+            faces[l] = (c, [m * x % c for x in g])
     return faces
 
 
 def canonicalize(t: Tetrahedron) -> NormalizationResult:
     """Deterministic normalization over all 24 vertex-role assignments.
 
-    Assignments whose face pair is not primitive are skipped.  The rest
-    are scored by the (c, a, b) that normalize would reach, read off the
-    face weights of their apex's opposite face: the assignment
-    (origin, e1, e2, apex) scores (c, W[e1], W[e2]).  All four faces'
-    weights are multiples of one generator g, so one basis per
-    tetrahedron serves every assignment (module docstring).  The first
-    smallest key in enumeration order wins, and only its witness map is
-    built and checked.
+    Assignments whose face pair is not primitive are skipped six at a
+    time: a face that is not an empty triangle drops every assignment with
+    its opposite vertex as apex.  The rest are scored by the (c, a, b) that
+    normalize would reach, read off the weights W of the apex's opposite
+    face: (origin, e1, e2, apex) reaches (c, W[e1], W[e2]).  c is the same
+    for every assignment, so each face's six assignments, read from a table
+    grouped by apex, are compared by (W[e1], W[e2], roles), and ties go to
+    the first assignment in enumeration order.  All four faces' weights
+    come from one basis per tetrahedron (module docstring); only the
+    winner's witness map is built and checked.
     """
     faces = _face_weights(t.vertices())
-    best_key: tuple[int, int, int] | None = None
-    best_roles: RoleAssignment | None = None
-    for roles in permutations(range(4)):
-        face = faces[roles[3]]
+    best: tuple[int, int, RoleAssignment] | None = None
+    for face, orders in zip(faces, _ORDERS_BY_APEX):
         if face is None:
             continue
-        c, weights = face
-        key = (c, weights[roles[1]], weights[roles[2]])
-        if best_key is None or key < best_key:
-            best_key, best_roles = key, roles
-    if best_roles is None:
+        weights = face[1]
+        for e1, e2, roles in orders:
+            key = (weights[e1], weights[e2], roles)
+            if best is None or key < best:
+                best = key
+    if best is None:
         raise NotNormalizableError(
             f"not normalizable (non-clean): no face of {t.vertices()} spans an empty triangle"
         )
-    return normalize(t, best_roles)
+    return normalize(t, best[2])
 
 
 def canonical_form(t: Tetrahedron) -> CanonicalForm:

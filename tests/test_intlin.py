@@ -12,6 +12,7 @@ from emptytet.intlin import (
     ZERO,
     AffineUnimodularMap,
     NotPrimitiveError,
+    add,
     adjugate,
     cross,
     det3,
@@ -152,6 +153,20 @@ def test_map_apply_frozen_cases():
     assert shear((5, 3, 2)) == (1, 1, 2)
     ident = AffineUnimodularMap(IDENTITY)
     assert ident((9, -4, 7)) == (9, -4, 7)
+
+
+def test_map_apply_matches_its_definition():
+    # apply computes matrix @ p + translation in one expression; check it
+    # against the helpers that state the definition
+    from emptytet.verify import random_unimodular_map
+
+    rng = random.Random(13)
+    maps = [random_unimodular_map(rng) for _ in range(300)]
+    maps.append(AffineUnimodularMap(IDENTITY, (7, -3, 11)))
+    for m in maps:
+        p = tuple(rng.randint(-50, 50) for _ in range(3))
+        assert m(p) == m.apply(p) == add(mat_vec(m.matrix, p), m.translation), (m, p)
+    assert maps[-1]((1, 2, 3)) == (8, -1, 14)
 
 
 def test_map_compose_order():

@@ -17,6 +17,7 @@ from emptytet.geometry import (
 import emptytet.normalize
 from emptytet.intlin import IDENTITY, ZERO, AffineUnimodularMap, NotPrimitiveError, cross, dot, extend_to_basis
 from emptytet.normalize import (
+    IDENTITY_ROLES,
     NotNormalizableError,
     _face_weights,
     canonical_form,
@@ -88,8 +89,8 @@ def test_face_pair_not_primitive_error():
 
 
 def reference_canonicalize(t):
-    """The result with the first smallest (c, a, b) over all 24 normalize
-    calls, or None."""
+    """(roles, result) of the first smallest (c, a, b) over all 24 normalize
+    calls in enumeration order, or None."""
     best = best_key = None
     for roles in permutations(range(4)):
         try:
@@ -98,19 +99,20 @@ def reference_canonicalize(t):
             continue
         key = (result.form.c, result.form.a, result.form.b)
         if best is None or key < best_key:
-            best, best_key = result, key
+            best, best_key = (roles, result), key
     return best
 
 
 def assert_matches_reference(t):
-    want = reference_canonicalize(t)
-    if want is None:
+    best = reference_canonicalize(t)
+    if best is None:
         with pytest.raises(NotNormalizableError) as exc:
             canonicalize(t)
         assert str(exc.value) == (
             f"not normalizable (non-clean): no face of {t.vertices()} spans an empty triangle"
         )
         return False
+    want = best[1]
     got = canonicalize(t)
     assert (got.form, got.map.matrix, got.map.translation) == (
         want.form,
@@ -120,15 +122,42 @@ def assert_matches_reference(t):
     return True
 
 
-def test_canonicalize_matches_reference_on_scrambled_forms():
-    # every T(a, b, c) with c <= 12, clean or not; images of standard forms
-    # give many roles with equal keys, so the tie-breaking order is exercised
-    rng = random.Random(31)
+def scrambled_forms(rng):
+    """Every T(a, b, c) with c <= 12, clean or not, under a random
+    unimodular map; images of standard forms give many roles with equal
+    keys, so the tie-breaking order is exercised."""
     for c in range(1, 13):
         for a in range(c):
             for b in range(c):
-                t = standard_tetrahedron(a, b, c)
-                assert_matches_reference(t.transformed(random_unimodular_map(rng)))
+                yield standard_tetrahedron(a, b, c).transformed(random_unimodular_map(rng))
+
+
+def test_canonicalize_matches_reference_on_scrambled_forms():
+    for t in scrambled_forms(random.Random(31)):
+        assert_matches_reference(t)
+
+
+def test_canonicalize_normalizes_once_with_the_first_smallest_roles(monkeypatch):
+    # The winner's map comes from exactly one normalize call (the call
+    # bench/run.py counts as normalize.roles.attempted), and its roles are
+    # the first of the 24 in enumeration order whose (c, a, b) is smallest.
+    calls = []
+
+    def recording(t, roles=IDENTITY_ROLES):
+        calls.append(roles)
+        return normalize(t, roles)
+
+    monkeypatch.setattr(emptytet.normalize, "normalize", recording)
+    for t in [*scrambled_forms(random.Random(31)), DOUBLED_UNIT]:
+        best = reference_canonicalize(t)
+        calls.clear()
+        if best is None:
+            with pytest.raises(NotNormalizableError):
+                canonicalize(t)
+            assert calls == [], t
+        else:
+            canonicalize(t)
+            assert calls == [best[0]], t
 
 
 def test_canonicalize_matches_reference_on_random_tetrahedra():
@@ -163,12 +192,8 @@ def assert_face_weights_match_every_role(t):
 
 
 def test_face_weights_match_every_role_on_scrambled_forms():
-    rng = random.Random(33)
-    for c in range(1, 13):
-        for a in range(c):
-            for b in range(c):
-                t = standard_tetrahedron(a, b, c)
-                assert_face_weights_match_every_role(t.transformed(random_unimodular_map(rng)))
+    for t in scrambled_forms(random.Random(33)):
+        assert_face_weights_match_every_role(t)
 
 
 def random_tetrahedra(rng, count, bound=6):
