@@ -27,18 +27,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from enum import Enum
 
-from .intlin import (
-    E1,
-    E2,
-    ZERO,
-    AffineUnimodularMap,
-    Vec3,
-    add,
-    cross,
-    det3,
-    dot,
-    neg,
-)
+from .intlin import E1, E2, ZERO, AffineUnimodularMap, Vec3, det3
 from .white import _MAX_ENUMERATE_C, CanonicalForm
 
 
@@ -101,20 +90,31 @@ def _face_forms(t: Tetrahedron):
     Returns ((n0, c0), (n1, c1), (n2, c2), (n3, c3)) where the values
     d_i(p) = dot(n_i, p) + c_i are `total` times the barycentric
     coordinates of p, with `total` the positively-oriented determinant of
-    the edge vectors, so d0 = total - d1 - d2 - d3.  p lies in the closed
-    tetrahedron iff all four values are >= 0.
+    the edge vectors, so d0 = total - d1 - d2 - d3 and total is the sum of
+    the four c_i.  p lies in the closed tetrahedron iff all four values
+    are >= 0.  The oracle scans and `normalize` both read the faces here.
     """
-    u1, u2, u3 = t.edge_vectors()
-    total = det3((u1, u2, u3))
-    n1, n2, n3 = cross(u2, u3), cross(u3, u1), cross(u1, u2)
+    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = t
+    ux, uy, uz = x1 - x0, y1 - y0, z1 - z0
+    vx, vy, vz = x2 - x0, y2 - y0, z2 - z0
+    wx, wy, wz = x3 - x0, y3 - y0, z3 - z0
+    # n1, n2, n3 = cross(v, w), cross(w, u), cross(u, v); total = det(u, v, w)
+    n1x, n1y, n1z = vy * wz - vz * wy, vz * wx - vx * wz, vx * wy - vy * wx
+    n2x, n2y, n2z = wy * uz - wz * uy, wz * ux - wx * uz, wx * uy - wy * ux
+    n3x, n3y, n3z = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+    total = ux * n1x + uy * n1y + uz * n1z
     if total < 0:
-        total, n1, n2, n3 = -total, neg(n1), neg(n2), neg(n3)
-    c1, c2, c3 = -dot(n1, t.v0), -dot(n2, t.v0), -dot(n3, t.v0)
+        total = -total
+        n1x, n1y, n1z, n2x, n2y, n2z = -n1x, -n1y, -n1z, -n2x, -n2y, -n2z
+        n3x, n3y, n3z = -n3x, -n3y, -n3z
+    c1 = -(n1x * x0 + n1y * y0 + n1z * z0)
+    c2 = -(n2x * x0 + n2y * y0 + n2z * z0)
+    c3 = -(n3x * x0 + n3y * y0 + n3z * z0)
     return (
-        (neg(add(add(n1, n2), n3)), total - c1 - c2 - c3),
-        (n1, c1),
-        (n2, c2),
-        (n3, c3),
+        ((-(n1x + n2x + n3x), -(n1y + n2y + n3y), -(n1z + n2z + n3z)), total - c1 - c2 - c3),
+        ((n1x, n1y, n1z), c1),
+        ((n2x, n2y, n2z), c2),
+        ((n3x, n3y, n3z), c3),
     )
 
 

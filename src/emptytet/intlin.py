@@ -10,7 +10,6 @@ equal to the plain tuple of its fields.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 
 Vec3 = tuple[int, int, int]
@@ -32,14 +31,6 @@ def add(u: Vec3, v: Vec3) -> Vec3:
     return (u[0] + v[0], u[1] + v[1], u[2] + v[2])
 
 
-def sub(u: Vec3, v: Vec3) -> Vec3:
-    return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
-
-
-def neg(u: Vec3) -> Vec3:
-    return (-u[0], -u[1], -u[2])
-
-
 def dot(u: Vec3, v: Vec3) -> int:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
@@ -57,11 +48,6 @@ def det3(m: Mat3) -> int:
     """Determinant of a 3x3 integer matrix given as rows."""
     (a, b, c), (d, e, f), (g, h, i) = m
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-def gcd_vec(u: Vec3) -> int:
-    """Nonnegative gcd of the three components; gcd_vec((0, 0, 0)) == 0."""
-    return math.gcd(*u)
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

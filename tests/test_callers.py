@@ -14,6 +14,7 @@ MODULES = ("intlin", "geometry", "white", "normalize", "verify")
 UNCALLED = {
     "adjugate": "traced by bench/run.py",
     "compose": "traced by bench/run.py",
+    "extend_to_basis": "traced by bench/run.py",
     "floor_step": "traced by bench/run.py",
     "floor_step_support": "traced by bench/run.py; public API that tests/test_white.py checks",
     "lattice_points_in": "reference oracle the geometry and normalize tests compare against",

@@ -21,7 +21,7 @@ from emptytet.geometry import (
     standard_tetrahedron,
     volume6,
 )
-from emptytet.intlin import ZERO, add, cross, det3, dot, neg, sub
+from emptytet.intlin import ZERO, add, cross, det3, dot
 from emptytet.verify import random_unimodular_map
 
 UNIT = Tetrahedron((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -36,9 +36,8 @@ LOCATE_CASES = [
 def locate_oracle(t, p):
     """Independent point location: solve the barycentric system exactly."""
     v0, v1, v2, v3 = t.vertices()
-    u1, u2, u3 = sub(v1, v0), sub(v2, v0), sub(v3, v0)
+    u1, u2, u3, rhs = (tuple(a - b for a, b in zip(q, v0)) for q in (v1, v2, v3, p))
     den = det3((u1, u2, u3))
-    rhs = sub(p, v0)
     lams = [
         Fraction(det3((rhs, u2, u3)), den),
         Fraction(det3((u1, rhs, u3)), den),
@@ -203,7 +202,7 @@ def parallelepiped_region(a, b, c):
     as forms >= 0: 0 < z < c, 0 < x*c - z*a < c, 0 < y*c - z*b < c."""
     forms = []
     for n in ((0, 0, 1), (c, 0, -a), (0, c, -b)):
-        forms += [(n, -1), (neg(n), c - 1)]
+        forms += [(n, -1), (tuple(-x for x in n), c - 1)]
     return forms, (ZERO, (a + 1, b + 1, c))
 
 
@@ -213,7 +212,7 @@ def plane_region(u, v, far_sides):
     s = det(p, v, n) and t = det(u, p, n) with n = cross(u, v)."""
     n = cross(u, v)
     sv, tu = cross(v, n), cross(n, u)
-    forms = [(n, 0), (neg(n), 0), (sv, 0), (tu, 0)]
+    forms = [(n, 0), (tuple(-x for x in n), 0), (sv, 0), (tu, 0)]
     forms += [(tuple(-i * a - j * b for a, b in zip(sv, tu)), dot(n, n)) for i, j in far_sides]
     corners = (ZERO, u, v) if len(far_sides) == 1 else (ZERO, u, v, add(u, v))
     return forms, corners
@@ -260,7 +259,7 @@ def test_lattice_points_match_fraction_oracle():
         verts = t.vertices()
         for i in range(4):
             a, b, c = verts[:i] + verts[i + 1 :]
-            if cross(sub(b, a), sub(c, a))[2] == 0:
+            if (b[0] - a[0]) * (c[1] - a[1]) == (b[1] - a[1]) * (c[0] - a[0]):
                 kinds.add("face parallel to z")
         if det3(t.edge_vectors()) < 0:
             kinds.add("negative orientation")

@@ -19,7 +19,6 @@ from emptytet.intlin import (
     dot,
     extend_to_basis,
     extended_gcd3,
-    gcd_vec,
     mat_mul,
     mat_vec,
     transpose,
@@ -57,13 +56,6 @@ def test_cross_matches_det_random():
         )
         assert dot(cross(u, v), w) == det3((u, v, w))
         assert cross(u, v) == tuple(-x for x in cross(v, u))
-
-
-def test_gcd_vec():
-    assert gcd_vec(ZERO) == 0
-    assert gcd_vec((4, -6, 8)) == 2
-    assert gcd_vec((6, 10, 15)) == 1
-    assert gcd_vec((0, 0, -7)) == 7
 
 
 def test_xgcd_exhaustive():
@@ -108,11 +100,12 @@ def test_extend_to_basis_exhaustive_small():
     for u in vecs:
         for v in vecs:
             n = cross(u, v)
-            if gcd_vec(n) != 1:
+            if math.gcd(*n) != 1:
                 continue
             w = extend_to_basis(u, v)
             assert det3((u, v, w)) == 1, (u, v, w)
-            # the inverse of the columns matrix (u | v | w) that normalize writes
+            # the inverse of the columns matrix (u | v | w), which the reference
+            # map of tests/test_normalize.py starts from
             assert adjugate(transpose((u, v, w))) == (cross(v, w), cross(w, u), n)
             checked += 1
     assert checked > 1000

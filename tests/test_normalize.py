@@ -15,7 +15,18 @@ from emptytet.geometry import (
     volume6,
 )
 import emptytet.normalize
-from emptytet.intlin import IDENTITY, ZERO, AffineUnimodularMap, NotPrimitiveError, cross, dot, extend_to_basis
+from emptytet.intlin import (
+    IDENTITY,
+    ZERO,
+    AffineUnimodularMap,
+    NotPrimitiveError,
+    adjugate,
+    cross,
+    dot,
+    extend_to_basis,
+    extended_gcd3,
+    transpose,
+)
 from emptytet.normalize import (
     IDENTITY_ROLES,
     NotNormalizableError,
@@ -44,7 +55,8 @@ def test_frozen_pipeline_shear_case():
     t = Tetrahedron((0, 0, 0), (1, 0, 0), (0, 1, 0), (5, 3, 2))
     res = normalize(t)
     assert res.form == CanonicalForm(1, 1, 2)
-    # q1 = 2 and q2 = 1 shear multiples of the height out of the apex
+    # face normals n1 = (2, 0, -5), n2 = (0, 2, -3), n3 = (0, 0, 1) and
+    # a = b = 1: the rows (n1 + n3) / 2, (n2 + n3) / 2 and n3
     assert res.map.matrix == ((1, 0, -2), (0, 1, -1), (0, 0, 1))
     assert res.map.translation == (0, 0, 0)
 
@@ -53,6 +65,9 @@ def test_frozen_pipeline_flip_case():
     t = Tetrahedron((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, -2))
     res = normalize(t)
     assert res.form == CanonicalForm(1, 1, 2)
+    # negative orientation: the normals flip to n1 = (2, 0, 1), n2 =
+    # (0, 2, 1), n3 = (0, 0, -1), and with a = b = 1 the first two rows
+    # (n1 + n3) / 2 and (n2 + n3) / 2 are e1 and e2
     assert res.map.matrix == ((1, 0, 0), (0, 1, 0), (0, 0, -1))
     assert res.map.translation == (0, 0, 0)
 
@@ -61,7 +76,9 @@ def test_frozen_pipeline_flip_shear_translation_case():
     t = Tetrahedron((3, -4, 9), (4, -4, 9), (3, -3, 9), (8, -1, 7))
     res = normalize(t)
     assert res.form == CanonicalForm(1, 1, 2)
-    # apex edge (5, 3, -2): flipped to height 2, then q1 = 2 and q2 = 1
+    # apex edge (5, 3, -2) below the face: n1 = (2, 0, 5), n2 = (0, 2, 3),
+    # n3 = (0, 0, -1) and a = b = 1 give the rows (n1 + n3) / 2 and
+    # (n2 + n3) / 2; the form constants divide likewise into the translation
     assert res.map.matrix == ((1, 0, 2), (0, 1, 1), (0, 0, -1))
     assert res.map.translation == (-21, -5, 9)
 
@@ -86,6 +103,35 @@ def test_face_pair_not_primitive_error():
     # u = e1 and v = (0, 0, 2) span a face with a midpoint lattice point
     with pytest.raises(NotPrimitiveError, match="face pair not primitive"):
         normalize(t, (0, 1, 3, 2))
+
+
+def reference_map(t, roles):
+    """normalize's witness map built the long way: complete the edge vectors
+    u, v from the origin-role vertex to the e1/e2-role ones to a basis
+    (u, v, w) of determinant +1, invert it, flip the z axis when the apex
+    lands below the face, and shear the apex into 0 <= a, b < c.  Raises
+    NotPrimitiveError when u, v do not extend to a basis."""
+    verts = t.vertices()
+    origin = verts[roles[0]]
+    u, v = (tuple(p - q for p, q in zip(verts[r], origin)) for r in roles[1:3])
+    w = extend_to_basis(u, v)
+    shift = AffineUnimodularMap(IDENTITY, tuple(-x for x in origin))
+    lmap = AffineUnimodularMap(adjugate(transpose((u, v, w)))).compose(shift)
+    if lmap(verts[roles[3]])[2] < 0:
+        lmap = AffineUnimodularMap(((1, 0, 0), (0, 1, 0), (0, 0, -1))).compose(lmap)
+    x, y, c = lmap(verts[roles[3]])
+    return AffineUnimodularMap(((1, 0, -(x // c)), (0, 1, -(y // c)), (0, 0, 1))).compose(lmap)
+
+
+def assert_maps_match_reference(t):
+    for roles in permutations(range(4)):
+        try:
+            want = reference_map(t, roles)
+        except NotPrimitiveError:
+            with pytest.raises(NotPrimitiveError, match="face pair not primitive"):
+                normalize(t, roles)
+            continue
+        assert normalize(t, roles).map == want, (t, roles)
 
 
 def reference_canonicalize(t):
@@ -130,6 +176,11 @@ def scrambled_forms(rng):
         for a in range(c):
             for b in range(c):
                 yield standard_tetrahedron(a, b, c).transformed(random_unimodular_map(rng))
+
+
+def test_normalize_maps_match_the_basis_reference_on_scrambled_forms():
+    for t in scrambled_forms(random.Random(38)):
+        assert_maps_match_reference(t)
 
 
 def test_canonicalize_matches_reference_on_scrambled_forms():
@@ -178,7 +229,7 @@ def test_canonicalize_matches_reference_on_random_tetrahedra():
 def assert_face_weights_match_every_role(t):
     """Each of the 24 roles is skipped exactly when normalize rejects it,
     and otherwise its key (c, W[e1], W[e2]) is normalize's (c, a, b)."""
-    faces = _face_weights(t.vertices())
+    faces = _face_weights(t)
     for roles in permutations(range(4)):
         face = faces[roles[3]]
         try:
@@ -213,6 +264,12 @@ def test_face_weights_match_every_role_on_random_tetrahedra():
         assert_face_weights_match_every_role(t)
 
 
+def test_normalize_maps_match_the_basis_reference_on_random_tetrahedra():
+    rng = random.Random(39)
+    for t in [*random_tetrahedra(rng, 1000), *random_tetrahedra(rng, 300, bound=1000)]:
+        assert_maps_match_reference(t)
+
+
 def test_face_weights_match_every_role_at_large_sizes():
     # the generator path far past the samples above: scrambled T(a, b, c)
     # for large c, with units and non-units as a and b, each under the four
@@ -227,7 +284,7 @@ def test_face_weights_match_every_role_at_large_sizes():
     first_empty, gcd_rejects = set(), 0
     for t in sample:
         assert_face_weights_match_every_role(t)
-        empty = [face is not None for face in _face_weights(t.vertices())]
+        empty = [face is not None for face in _face_weights(t)]
         if any(empty):
             l0 = empty.index(True)
             first_empty.add(l0)
@@ -253,7 +310,7 @@ def test_face_primitivity_matches_the_tetrahedron_scan():
             if loc is not PointLocation.VERTEX:
                 for l, (n, k) in enumerate(forms):
                     full[l] |= dot(n, p) + k == 0
-        assert [face is None for face in _face_weights(t.vertices())] == full, t
+        assert [face is None for face in _face_weights(t)] == full, t
         try:
             canonicalize(t)
             refused = False
@@ -264,15 +321,15 @@ def test_face_primitivity_matches_the_tetrahedron_scan():
     assert outcomes == {False, True}  # both occur
 
 
-def count_extend_to_basis_calls(monkeypatch, t):
-    """(extend_to_basis calls made by canonicalize(t), whether t normalizes)."""
+def count_extended_gcd3_calls(monkeypatch, t):
+    """(extended_gcd3 calls made by canonicalize(t), whether t normalizes)."""
     calls = []
 
-    def counting(u, v):
-        calls.append((u, v))
-        return extend_to_basis(u, v)
+    def counting(*n):
+        calls.append(n)
+        return extended_gcd3(*n)
 
-    monkeypatch.setattr(emptytet.normalize, "extend_to_basis", counting)
+    monkeypatch.setattr(emptytet.normalize, "extended_gcd3", counting)
     try:
         canonicalize(t)
     except NotNormalizableError:
@@ -281,8 +338,9 @@ def count_extend_to_basis_calls(monkeypatch, t):
 
 
 def test_canonicalize_extends_one_basis_per_tetrahedron(monkeypatch):
-    # one basis for all four faces' weights plus one for the winner's map,
-    # however many of the 24 roles are valid; none when no face is empty
+    # one Bezout vector for all four faces' weights plus one for the
+    # winner's map, however many of the 24 roles are valid; none when no
+    # face is empty
     rng = random.Random(35)
     sample = [
         standard_tetrahedron(form.a, form.b, form.c).transformed(random_unimodular_map(rng))
@@ -294,7 +352,7 @@ def test_canonicalize_extends_one_basis_per_tetrahedron(monkeypatch):
     sample.append(DOUBLED_UNIT)
     outcomes = set()
     for t in sample:
-        calls, normalizable = count_extend_to_basis_calls(monkeypatch, t)
+        calls, normalizable = count_extended_gcd3_calls(monkeypatch, t)
         assert calls == (2 if normalizable else 0), t
         outcomes.add(normalizable)
     assert outcomes == {False, True}  # both occur
