@@ -34,6 +34,10 @@ SCHEMA_VERSION = 1
 
 _JSON_INT_BOUND = 2**53
 
+# Most characters a --file may hold: 12 integers of at most 4300 digits,
+# Python's default int-string limit, fit in about 52 KB.
+_MAX_FILE_CHARS = 65_536
+
 
 def _check_json_ints(obj) -> None:
     """Reject integers JSON consumers cannot hold exactly (|v| >= 2^53)."""
@@ -97,9 +101,11 @@ def _read_tetrahedron(args) -> Tetrahedron:
         if args.coords:
             raise ValueError("give coordinates either inline or via --file, not both")
         with open(args.file, encoding="utf-8") as fh:
-            tokens = fh.read().split()
+            text = fh.read(_MAX_FILE_CHARS + 1)
+        if len(text) > _MAX_FILE_CHARS:
+            raise ValueError(f"--file {args.file} exceeds its bound of {_MAX_FILE_CHARS} characters")
         try:
-            values = [int(tok) for tok in tokens]
+            values = [int(tok) for tok in text.split()]
         except ValueError:
             raise ValueError(f"--file {args.file} must contain whitespace-separated integers")
     else:

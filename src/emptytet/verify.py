@@ -6,7 +6,6 @@ list must come back empty.  All suites are deterministic; the randomized
 normalization suite is driven entirely by a seeded generator.
 """
 
-import math
 import time
 from bisect import bisect_right
 from collections.abc import Callable
@@ -26,6 +25,7 @@ from .white import (
     _empty_form_count,
     _floor_steps,
     _support,
+    _units,
     clean_forms,
     is_clean_form,
     white_empty,
@@ -191,7 +191,7 @@ def verify_floor_steps(c_max: int = 100) -> VerificationReport:
     of size n - 1, and complementary slopes have complementary steps."""
     report = _start("fn", c_max)
     for c in range(2, c_max + 1):
-        rows = {n: _floor_steps(n, c) for n in range(1, c) if math.gcd(n, c) == 1}
+        rows = {n: _floor_steps(n, c) for n in _units(c)}
         for n, row in rows.items():
             support = _support(row)
             if n == 1:
@@ -274,7 +274,7 @@ def verify_normalization(
     for trial in range(trials):
         i = rng.randrange(starts[-1])
         c = bisect_right(starts, i)
-        form = _empty_form_at(c, i - starts[c - 1])
+        form = _empty_form_at(c, _units(c), i - starts[c - 1])
         scramble = random_unimodular_map(rng)
         t = standard_tetrahedron(form.a, form.b, form.c)
         if form not in base_forms:

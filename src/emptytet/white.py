@@ -170,43 +170,40 @@ def satisfied_clause(form: CanonicalForm) -> str:
     return "d=1"
 
 
-def clean_forms(c: int) -> list[CanonicalForm]:
-    """All clean forms with third parameter c, in lexicographic (a, b) order.
+def _units(c: int) -> list[int]:
+    """The units mod c: the k in range(c) with gcd(k, c) = 1, ascending; [0] at c = 1."""
+    return [k for k in range(c) if math.gcd(k, c) == 1]
 
-    One gcd per residue mod c finds the units; a, b and d must all be one.
-    """
+
+def clean_forms(c: int) -> list[CanonicalForm]:
+    """All clean forms with third parameter c, in lexicographic (a, b) order: a, b and d are units mod c."""
     if c < 1:
         raise ValueError(f"c must be >= 1, got {c}")
-    units = [k for k in range(c) if math.gcd(k, c) == 1]
+    units = _units(c)
     unit_set = set(units)
     return [CanonicalForm(a, b, c) for a in units for b in units if (1 - a - b) % c in unit_set]
 
 
 # Largest c that empty_forms and geometry.parallelepiped_interior_points
-# list: the prime 99991 gives 299970 forms, 3 to 4 s and up to 160 MB of
-# `emptytet enumerate` on a 2-core VM; past it a listing refuses rather
-# than filling memory.
+# list.  At the prime 99991 (299970 forms) `emptytet enumerate` took 1.9-2.2 s
+# and 78 MB with --csv, 2.1-2.6 s and 141 MB (the peak) with --json on a 2-core
+# VM with Python 3.11; past it a listing refuses rather than filling memory.
 _MAX_ENUMERATE_C = 100_000
-
-
-def _units(c: int) -> list[int]:
-    """The k in 1..c-1 with gcd(k, c) = 1, ascending."""
-    return [k for k in range(1, c) if math.gcd(k, c) == 1]
 
 
 def empty_forms(c: int) -> list[CanonicalForm]:
     """All empty forms with third parameter c, in lexicographic (a, b) order.
 
-    For c > 1 White's criterion leaves T(1, k, c), T(k, 1, c) and
-    T(k, c - k, c) (a, b or d = 1) for k coprime to c, listed in O(c).
-    Raises ValueError for c > _MAX_ENUMERATE_C.
+    For c > 2 these are White's three families over the units mod c, in the
+    layout _empty_form_at writes, listed in O(c) without a sort.  Raises
+    ValueError for c > _MAX_ENUMERATE_C.
     """
     if c > _MAX_ENUMERATE_C:
         raise ValueError(f"enumeration exceeds its budget of c <= {_MAX_ENUMERATE_C}, got c = {c}")
-    if c <= 1:
-        return clean_forms(c)  # [T(0, 0, 1)], or the c < 1 ValueError
-    pairs = {p for k in _units(c) for p in ((1, k), (k, 1), (k, c - k))}
-    return [CanonicalForm(a, b, c) for a, b in sorted(pairs)]
+    if c <= 2:
+        return clean_forms(c)  # [T(0, 0, 1)], [T(1, 1, 2)], or the c < 1 ValueError
+    units = _units(c)
+    return [_empty_form_at(c, units, i) for i in range(3 * len(units) - 3)]
 
 
 def _empty_form_count(c: int) -> int:
@@ -218,18 +215,15 @@ def _empty_form_count(c: int) -> int:
     return 1 if c <= 2 else 3 * len(_units(c)) - 3
 
 
-def _empty_form_at(c: int, offset: int) -> CanonicalForm:
-    """empty_forms(c)[offset] for 0 <= offset < _empty_form_count(c), built alone.
+def _empty_form_at(c: int, units: list[int], offset: int) -> CanonicalForm:
+    """empty_forms(c)[offset] for units = _units(c) and 0 <= offset < _empty_form_count(c).
 
-    For c > 2 the sorted list is T(1, k, c) for every unit k, then
+    The one place the layout is written: T(1, k, c) for every unit k, then
     T(k, 1, c) and T(k, c - k, c) for each unit 1 < k < c - 1, then
-    T(c - 1, 1, c).
+    T(c - 1, 1, c).  At c <= 2 that is the one form T(1 % c, units[0], c).
     """
-    if c <= 2:
-        return empty_forms(c)[offset]
-    units = _units(c)
     if offset < len(units):
-        return CanonicalForm(1, units[offset], c)
+        return CanonicalForm(1 % c, units[offset], c)
     row, second = divmod(offset - len(units), 2)
     k = units[row + 1]
     return CanonicalForm(k, c - k if second else 1, c)

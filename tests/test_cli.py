@@ -155,6 +155,25 @@ def test_classify_file_not_integers(run, tmp_path):
     assert "whitespace-separated integers" in err
 
 
+def test_file_read_is_bounded(run, tmp_path):
+    # a file padded to exactly the bound is read whole; one character more
+    # is refused, by classify and normalize alike, and never truncated
+    from emptytet.cli import _MAX_FILE_CHARS
+
+    text = " ".join(T115)
+    path = tmp_path / "tet.txt"
+    path.write_text(text + " " * (_MAX_FILE_CHARS - len(text)), encoding="utf-8")
+    code, out, _ = run("classify", "--file", str(path))
+    assert code == 0
+    assert "canonical form: a=1 b=1 c=5 d=4" in out.splitlines()
+    path.write_text(text + " " * (_MAX_FILE_CHARS + 1 - len(text)), encoding="utf-8")
+    for command in ("classify", "normalize"):
+        code, out, err = run(command, "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --file {path} exceeds its bound of 65536 characters\n"
+
+
 def test_classify_wrong_coordinate_count(run):
     code, _, err = run("classify", *T115[:11])
     assert code == 2

@@ -9,6 +9,7 @@ from emptytet.white import (
     _empty_form_at,
     _empty_form_count,
     _floor_steps,
+    _units,
     clean_forms,
     empty_forms,
     floor_step,
@@ -263,9 +264,17 @@ def test_clean_forms_match_the_gcd_filter():
         clean_forms(0)
 
 
+def test_units_match_gcd():
+    assert _units(1) == [0]
+    for c in range(1, 201):
+        assert _units(c) == [k for k in range(c) if math.gcd(k, c) == 1], c
+
+
 def test_empty_form_at_matches_listing():
-    # the indexed pick against the family listing, every offset, order included
-    for c in range(1, 121):
-        empties = empty_forms(c)
+    # the one layout, every offset, and its count against the O(c^2)
+    # filter over the clean forms, order included
+    for c in range(1, 201):
+        units = _units(c)
+        empties = [f for f in clean_forms(c) if white_empty(f)]
         assert _empty_form_count(c) == len(empties), c
-        assert [_empty_form_at(c, i) for i in range(len(empties))] == empties, c
+        assert [_empty_form_at(c, units, i) for i in range(len(empties))] == empties, c
