@@ -11,6 +11,7 @@ reader closed standard output early, e.g. `emptytet enumerate 99991 | head`.
 
 import argparse
 import os
+import re
 import sys
 
 from .geometry import (
@@ -20,14 +21,7 @@ from .geometry import (
     volume6,
 )
 from .normalize import NotNormalizableError, canonicalize
-from .verify import (
-    _check_c_max,
-    _check_trials,
-    verify_coplanarity,
-    verify_floor_steps,
-    verify_normalization,
-    verify_white,
-)
+from .verify import _check_c_max, _check_trials, _suites
 from .white import empty_forms, is_clean_form, satisfied_clause, white_empty
 
 SCHEMA_VERSION = 1
@@ -104,9 +98,13 @@ def _read_tetrahedron(args) -> Tetrahedron:
             text = fh.read(_MAX_FILE_CHARS + 1)
         if len(text) > _MAX_FILE_CHARS:
             raise ValueError(f"--file {args.file} exceeds its bound of {_MAX_FILE_CHARS} characters")
+        tokens = text.split()
         try:
-            values = [int(tok) for tok in text.split()]
+            values = [int(tok) for tok in tokens]
         except ValueError:
+            if all(re.fullmatch(r"[+-]?\d+(_\d+)*", tok) for tok in tokens):
+                limit = sys.get_int_max_str_digits()
+                raise ValueError(f"--file {args.file} holds an integer longer than Python's int-string limit of {limit} digits")
             raise ValueError(f"--file {args.file} must contain whitespace-separated integers")
     else:
         values = args.coords
@@ -226,23 +224,12 @@ def _cmd_points(args) -> int:
     return 0
 
 
-def _suites() -> dict:
-    """Suite name -> function, in run order.  Built from the module globals
-    on every call, so a function replaced there is the one that runs."""
-    return {
-        "white": verify_white,
-        "coplanar": verify_coplanarity,
-        "fn": verify_floor_steps,
-        "normalize": verify_normalization,
-    }
-
-
 def _cmd_verify(args) -> int:
-    suites = {name: run for name, run in _suites().items() if not args.suite or name in args.suite}
-    # Only verify_normalization takes --trials and --seed.
+    suites = {name: run for name, (run, _, _) in _suites().items() if not args.suite or name in args.suite}
+    # Only the normalize suite takes --trials and --seed.
     given = {"trials": args.trials, "seed": args.seed}
     extra = {key: value for key, value in given.items() if value is not None}
-    if extra and verify_normalization not in suites.values():
+    if extra and "normalize" not in suites:
         what = " and ".join(f"--{key}" for key in extra)
         raise ValueError(f"{what} would be ignored: the normalize suite is not selected")
     if args.trials is not None:
@@ -253,7 +240,7 @@ def _cmd_verify(args) -> int:
             _check_c_max(name, args.max_c)
     reports = []
     for name, run in suites.items():
-        report = run(**c_max, **(extra if run is verify_normalization else {}))
+        report = run(**c_max, **(extra if name == "normalize" else {}))
         reports.append(report)
         print(f"# suite {name}: {report.duration_seconds:.2f}s", file=sys.stderr)
     ok = all(report.ok for report in reports)
@@ -352,17 +339,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format_arguments(p)
     p.set_defaults(func=_cmd_points)
 
+    suites = list(_suites())
     p = sub.add_parser(
         "verify",
         help="run exhaustive verification suites",
-        description="Run the verification suites (white, coplanar, fn, "
-        "normalize) and report tallies and counterexamples; exits 1 if any "
-        "counterexample is found.",
+        description=f"Run the verification suites ({', '.join(suites)}) and "
+        "report tallies and counterexamples; exits 1 if any counterexample "
+        "is found.",
     )
     p.add_argument(
         "--suite",
         action="append",
-        choices=list(_suites()),
+        choices=suites,
         help="suite to run (repeatable; default: all)",
     )
     p.add_argument("--max-c", type=int, help="largest c to sweep")

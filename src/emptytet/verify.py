@@ -9,6 +9,7 @@ normalization suite is driven entirely by a seeded generator.
 import time
 from bisect import bisect_right
 from collections.abc import Callable
+from itertools import accumulate
 
 from .geometry import (
     bruteforce_verdicts,
@@ -33,17 +34,9 @@ from .white import (
 
 _MAX_COUNTEREXAMPLES = 50
 
-# Each suite's smallest and largest c_max.  The largest is a budget: a run
-# at it took 0.7-0.9 s (white), 1.4-1.8 s (coplanar), 0.2-0.35 s (fn) and
-# 0.3-0.4 s and 15 MB (normalize, 1000 trials; 2.0-2.5 s and 17 MB at
-# 7000 trials)
-# through `emptytet verify` on a 2-core VM with Python 3.11.  The CLI
-# checks c_max against every selected suite's range before any suite runs.
-_C_MAX_RANGE = {"white": (1, 35), "coplanar": (2, 48), "fn": (3, 200), "normalize": (1, 1000)}
-
 # The normalize suite's largest trial count: 7000 trials at the default
-# c_max took 1.1-1.5 s through `emptytet verify` on the same VM (about
-# 0.2 ms a trial).
+# c_max took 1.0 s through `emptytet verify` on a 2-core VM with Python
+# 3.11 (median of 5; about 0.13 ms a trial).
 _MAX_TRIALS = 7000
 
 
@@ -108,10 +101,27 @@ class VerificationReport:
         }
 
 
+def _suites() -> dict:
+    """Suite name -> (function, smallest c_max, largest c_max), in run order.
+
+    The largest c_max is a budget: a run at it took 0.6 s (white), 1.0 s
+    (coplanar), 0.35 s (fn) and 0.35 s and 22 MB (normalize, 1000 trials;
+    1.45 s and 24 MB at 7000) through `emptytet verify` on a 2-core VM with
+    Python 3.11 (median of 5).  Built from the module globals on every
+    call, so a function replaced there is the one that runs.
+    """
+    return {
+        "white": (verify_white, 1, 35),
+        "coplanar": (verify_coplanarity, 2, 48),
+        "fn": (verify_floor_steps, 3, 200),
+        "normalize": (verify_normalization, 1, 1000),
+    }
+
+
 def _check_c_max(suite: str, c_max: int) -> None:
     """Refuse a c_max outside the suite's range; the CLI calls this for
     every selected suite before any of them runs."""
-    low, high = _C_MAX_RANGE[suite]
+    _, low, high = _suites()[suite]
     if c_max < low:
         raise ValueError(f"the {suite} suite needs c_max >= {low}, got c_max = {c_max}")
     if c_max > high:
@@ -265,16 +275,16 @@ def verify_normalization(
     report = _start("normalize", c_max, trials=trials, seed=seed)
     rng = random.Random(seed)
     # The empty forms with c <= c_max, listed by c and then as empty_forms
-    # lists them, are drawn by index without being listed: starts[c - 1] is
-    # the index of the first form of height c, and starts[c_max] the count.
-    starts = [0]
-    for c in range(1, c_max + 1):
-        starts.append(starts[-1] + _empty_form_count(c))
+    # lists them, are drawn by index without being listed: units[c - 1] is
+    # the units mod c, starts[c - 1] the index of the first form of height
+    # c, and starts[c_max] the count.
+    units = [_units(c) for c in range(1, c_max + 1)]
+    starts = list(accumulate(map(_empty_form_count, units), initial=0))
     base_forms: dict[CanonicalForm, CanonicalForm] = {}
     for trial in range(trials):
         i = rng.randrange(starts[-1])
         c = bisect_right(starts, i)
-        form = _empty_form_at(c, _units(c), i - starts[c - 1])
+        form = _empty_form_at(c, units[c - 1], i - starts[c - 1])
         scramble = random_unimodular_map(rng)
         t = standard_tetrahedron(form.a, form.b, form.c)
         if form not in base_forms:

@@ -194,29 +194,31 @@ _MAX_ENUMERATE_C = 100_000
 def empty_forms(c: int) -> list[CanonicalForm]:
     """All empty forms with third parameter c, in lexicographic (a, b) order.
 
-    For c > 2 these are White's three families over the units mod c, in the
-    layout _empty_form_at writes, listed in O(c) without a sort.  Raises
-    ValueError for c > _MAX_ENUMERATE_C.
+    White's three families over the units mod c, in the layout
+    _empty_form_at writes, listed in O(c) without a sort; at c <= 2 the
+    layout is the one form T(0, 0, 1) or T(1, 1, 2).  Raises ValueError for
+    c < 1 and for c > _MAX_ENUMERATE_C.
     """
     if c > _MAX_ENUMERATE_C:
         raise ValueError(f"enumeration exceeds its budget of c <= {_MAX_ENUMERATE_C}, got c = {c}")
-    if c <= 2:
-        return clean_forms(c)  # [T(0, 0, 1)], [T(1, 1, 2)], or the c < 1 ValueError
+    if c < 1:
+        raise ValueError(f"c must be >= 1, got {c}")
     units = _units(c)
-    return [_empty_form_at(c, units, i) for i in range(3 * len(units) - 3)]
+    return [_empty_form_at(c, units, i) for i in range(_empty_form_count(units))]
 
 
-def _empty_form_count(c: int) -> int:
-    """len(empty_forms(c)) for c >= 1, without building the forms.
+def _empty_form_count(units: list[int]) -> int:
+    """len(empty_forms(c)) for units = _units(c), without building the forms.
 
-    For c > 2 the three families of phi(c) forms each share one form with
-    each other family: T(1, 1, c), T(1, c - 1, c) and T(c - 1, 1, c).
+    For c > 2 the three families of phi(c) = len(units) forms each share
+    one form with each other family: T(1, 1, c), T(1, c - 1, c) and
+    T(c - 1, 1, c).  At c <= 2 there is one unit and one form.
     """
-    return 1 if c <= 2 else 3 * len(_units(c)) - 3
+    return max(1, 3 * len(units) - 3)
 
 
 def _empty_form_at(c: int, units: list[int], offset: int) -> CanonicalForm:
-    """empty_forms(c)[offset] for units = _units(c) and 0 <= offset < _empty_form_count(c).
+    """empty_forms(c)[offset] for units = _units(c) and 0 <= offset < _empty_form_count(units).
 
     The one place the layout is written: T(1, k, c) for every unit k, then
     T(k, 1, c) and T(k, c - k, c) for each unit 1 < k < c - 1, then

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,8 +6,8 @@ import time
 
 import pytest
 
-from emptytet.cli import main
-from emptytet.verify import VerificationReport
+from emptytet.cli import build_parser, main
+from emptytet.verify import VerificationReport, _suites
 
 T115 = ["0", "0", "0", "1", "0", "0", "0", "1", "0", "1", "1", "5"]
 DOUBLED_UNIT = ["0", "0", "0", "2", "0", "0", "0", "2", "0", "0", "0", "2"]
@@ -172,6 +173,21 @@ def test_file_read_is_bounded(run, tmp_path):
         assert code == 2
         assert out == ""
         assert err == f"error: --file {path} exceeds its bound of 65536 characters\n"
+
+
+def test_file_integer_past_the_int_string_limit(run, tmp_path):
+    # every token is an integer, so the refusal names the limit, not the syntax
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "tet.txt"
+    path.write_text(" ".join(T115[:11] + ["7" * (limit + 700)]), encoding="utf-8")
+    for command in ("classify", "normalize"):
+        code, out, err = run(command, "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: --file {path} holds an integer longer than Python's "
+            f"int-string limit of {limit} digits\n"
+        )
 
 
 def test_classify_wrong_coordinate_count(run):
@@ -368,7 +384,7 @@ def test_verify_counterexample_exits_one(run, monkeypatch):
         report.record("empty_criterion_vs_oracle", False, lambda: "planted")
         return report
 
-    monkeypatch.setattr("emptytet.cli.verify_white", planted_failure)
+    monkeypatch.setattr("emptytet.verify.verify_white", planted_failure)
     code, out, _ = run("verify", "--suite", "white")
     assert code == 1
     assert "overall: FAIL" in out.splitlines()
@@ -384,6 +400,12 @@ def test_verify_rejects_normalize_options_without_that_suite(run):
     assert code == 2
     assert out == ""
     assert err.startswith("error: --trials and --seed would be ignored")
+
+
+def test_verify_suite_choices_come_from_the_suite_table():
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (suite,) = [a for a in commands.choices["verify"]._actions if a.dest == "suite"]
+    assert suite.choices == list(_suites())
 
 
 def test_verify_rejects_unknown_suite(run):

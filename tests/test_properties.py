@@ -21,7 +21,7 @@ st = hypothesis.strategies
 from emptytet.cli import main  # noqa: E402
 from emptytet.geometry import Tetrahedron, bruteforce_verdicts, standard_tetrahedron  # noqa: E402
 from emptytet.normalize import NotNormalizableError, canonical_form  # noqa: E402
-from emptytet.verify import _C_MAX_RANGE, _MAX_TRIALS, random_unimodular_map  # noqa: E402
+from emptytet.verify import _MAX_TRIALS, _suites, random_unimodular_map  # noqa: E402
 from emptytet.white import _MAX_ENUMERATE_C  # noqa: E402
 
 # Flags that are bogus everywhere, or that some subcommands reject.
@@ -61,10 +61,11 @@ def points_argv(draw):
 
 @st.composite
 def verify_argv(draw):
-    suites = draw(st.lists(st.sampled_from(list(_C_MAX_RANGE)), max_size=2))
+    table = _suites()
+    suites = draw(st.lists(st.sampled_from(list(table)), max_size=2))
     # Past the smallest budget of the suites drawn, the CLI refuses before
     # any suite runs.
-    budget = min(_C_MAX_RANGE[suite][1] for suite in suites or _C_MAX_RANGE)
+    budget = min(table[suite][2] for suite in suites or table)
     argv = ["verify", "--max-c", str(draw(st.one_of(ints(-1, 4), ints(budget + 1, 10**30))))]
     for suite in suites:
         argv += ["--suite", suite]

@@ -4,13 +4,12 @@ import random
 import pytest
 
 from emptytet import verify, white
-from emptytet.cli import _suites
 from emptytet.geometry import parallelepiped_interior_points, standard_tetrahedron
 from emptytet.intlin import det3
 from emptytet.verify import (
-    _C_MAX_RANGE,
     _MAX_TRIALS,
     VerificationReport,
+    _suites,
     random_unimodular_map,
     verify_coplanarity,
     verify_floor_steps,
@@ -215,11 +214,22 @@ def test_parameter_validation():
 def test_c_max_budgets():
     # Every budget covers the ranges the tests, README and benchmark sweep,
     # and the budgets grow in the CLI's run order.
-    assert list(_C_MAX_RANGE) == list(_suites())
-    budgets = [high for _, high in _C_MAX_RANGE.values()]
+    budgets = [high for _, _, high in _suites().values()]
     assert budgets == sorted(budgets)
     for suite, used in {"white": 25, "coplanar": 25, "fn": 100, "normalize": 10}.items():
-        assert _C_MAX_RANGE[suite][1] >= used
+        assert _suites()[suite][2] >= used
+
+
+def test_normalization_lists_each_c_units_once(monkeypatch):
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return white._units(c)
+
+    monkeypatch.setattr(verify, "_units", counted)
+    assert verify_normalization(trials=500, c_max=50).ok
+    assert calls == list(range(1, 51))
 
 
 def test_random_unimodular_map_properties():

@@ -276,5 +276,5 @@ def test_empty_form_at_matches_listing():
     for c in range(1, 201):
         units = _units(c)
         empties = [f for f in clean_forms(c) if white_empty(f)]
-        assert _empty_form_count(c) == len(empties), c
+        assert _empty_form_count(units) == len(empties), c
         assert [_empty_form_at(c, units, i) for i in range(len(empties))] == empties, c
