@@ -1,8 +1,8 @@
 """Lattice tetrahedra, exact point location, and brute-force lattice-point oracles.
 
 Every predicate is decided by signs of integer determinants; there is no
-floating point, and the only divisions are integer floor divisions and
-exact ones guarded by asserts.  The *_bruteforce functions scan an integer
+floating point, and the only divisions are integer floor divisions in
+the oracle scans.  The *_bruteforce functions scan an integer
 bounding box and serve as ground truth for the fast number-theoretic
 criteria in `white`.  One scan core does all the scanning: `_rows` takes
 a polytope as affine forms that are >= 0 on it (the four faces of a
@@ -306,10 +306,14 @@ def parallelepiped_interior_points(a: int, b: int, c: int) -> list[Vec3]:
     e1, e2 and (a, b, c), in order of increasing height z = k.
 
     Point k (k = 1..c-1) is <k(c-a)/c> e1 + <k(c-b)/c> e2 + (k/c)(a, b, c)
-    where <.> is the fractional part.  Each coordinate is assembled over
-    the common denominator c and asserted integral rather than assumed.
-    Requires gcd(a, c) = gcd(b, c) = 1; otherwise some of these points
-    would degenerate onto the boundary.  Raises ValueError for
+    where <.> is the fractional part, that is (1 + floor(k*a/c),
+    1 + floor(k*b/c), k).  Requires gcd(a, c) = gcd(b, c) = 1; otherwise
+    some of these points would degenerate onto the boundary.  A walk keeps
+    ra = k*a mod c with k*a = (x - 1)*c + ra: each step adds a to ra and,
+    as a < c, at most once subtracts c and adds 1 to x; likewise rb and y.
+    As x*c - k*a = c - ra, the point is strictly inside iff ra and rb are
+    nonzero, which is asserted per point.  Cost: one add and one compare
+    per coordinate per point, no division.  Raises ValueError for
     c > white._MAX_ENUMERATE_C, the budget of both O(c) listings.
     """
     CanonicalForm(a, b, c)  # validates types and ranges
@@ -320,11 +324,19 @@ def parallelepiped_interior_points(a: int, b: int, c: int) -> list[Vec3]:
             f"need gcd(a, c) = gcd(b, c) = 1, got a={a}, b={b}, c={c}"
         )
     points = []
+    x = y = 1
+    ra = rb = 0
     for k in range(1, c):
-        x_num = k * (c - a) % c + k * a
-        y_num = k * (c - b) % c + k * b
-        assert x_num % c == 0 and y_num % c == 0, (a, b, c, k)
-        points.append((x_num // c, y_num // c, k))
+        ra += a
+        if ra >= c:
+            ra -= c
+            x += 1
+        rb += b
+        if rb >= c:
+            rb -= c
+            y += 1
+        assert ra and rb, (a, b, c, k)
+        points.append((x, y, k))
     return points
 
 

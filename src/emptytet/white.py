@@ -21,7 +21,9 @@ and floor_step_support reads its set off that row; the closed form
 the fn verify suite.  tests/test_white.py and acceptance criterion 3
 (tests/test_acceptance.py) check the staircase form against both the
 fraction form and the brute-force oracle; no verify suite calls either
-system.
+system.  The x and y of the interior points that geometry lists are
+partial sums from 1 of the staircase rows of a and b, so the step system
+is their coordinate increments.
 """
 
 import math
@@ -76,7 +78,9 @@ def satisfies_fraction_system(form: CanonicalForm) -> bool:
     """Exact emptiness system for a clean form with c > 1.
 
     Checks <k*a/c> + <k*b/c> + <k*d/c> - k/c == 1 for every k = 1..c-1
-    as c times itself: the numerator of <k*n/c> is k*n % c.
+    as c times itself: the numerator of <k*n/c> is k*n % c.  The per-k
+    modulo is kept on purpose: as an independent reference it shares no
+    remainder walk with satisfies_step_system or the interior points.
     """
     _require_clean_with_height(form)
     a, b, c, d = form.a, form.b, form.c, form.d

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -23,6 +24,7 @@ from emptytet.geometry import (
 )
 from emptytet.intlin import ZERO, add, cross, det3, dot
 from emptytet.verify import random_unimodular_map
+from emptytet.white import _floor_steps
 
 UNIT = Tetrahedron((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
 LOCATE_CASES = [
@@ -420,8 +422,6 @@ def test_parallelepiped_points_frozen():
 
 
 def test_parallelepiped_points_match_scan():
-    import math
-
     for c in range(1, 13):
         for a in range(c):
             for b in range(c):
@@ -441,6 +441,44 @@ def test_parallelepiped_points_match_scan():
                     b,
                     c,
                 )
+
+
+def reference_points(a, b, c):
+    """The interior points by their definition, point by point: point k is
+    <k(c-a)/c> e1 + <k(c-b)/c> e2 + (k/c)(a, b, c), each coordinate
+    assembled over the common denominator c and asserted integral."""
+    points = []
+    for k in range(1, c):
+        x_num = k * (c - a) % c + k * a
+        y_num = k * (c - b) % c + k * b
+        assert x_num % c == 0 and y_num % c == 0, (a, b, c, k)
+        points.append((x_num // c, y_num // c, k))
+    return points
+
+
+def test_parallelepiped_points_match_reference():
+    for c in range(1, 51):
+        units = [k for k in range(c) if math.gcd(k, c) == 1]
+        for a in units:
+            for b in units:
+                assert parallelepiped_interior_points(a, b, c) == reference_points(a, b, c), (a, b, c)
+    # Long walks: the remainders wrap on every step after the first at
+    # (c - 1, c - 1) and never at (1, 1), and a unit near c/3 wraps about
+    # every third step.
+    for c in (1009, 65537, 99991):
+        third = next(k for k in range(c // 3, c) if math.gcd(k, c) == 1)
+        for a, b in ((1, 1), (1, c - 1), (c - 1, c - 1), (2, c - 2), (third, third)):
+            assert parallelepiped_interior_points(a, b, c) == reference_points(a, b, c), (a, b, c)
+
+
+def test_parallelepiped_points_x_is_staircase_partial_sums():
+    # x_k = 1 + floor(k*a/c), so x_(k+1) - x_k is the staircase increment
+    # white.floor_step(a, c, k): the step rows are the points' x increments.
+    for c in range(2, 121):
+        for a in range(1, c):
+            if math.gcd(a, c) == 1:
+                xs = [x for x, _, _ in parallelepiped_interior_points(a, 1, c)]
+                assert list(itertools.accumulate(_floor_steps(a, c), initial=1)) == xs, (a, c)
 
 
 def test_parallelepiped_points_errors():
