@@ -32,6 +32,26 @@ _JSON_INT_BOUND = 2**53
 # Python's default int-string limit, fit in about 52 KB.
 _MAX_FILE_CHARS = 65_536
 
+# An integer token as int() reads it; one that int() still refuses is past
+# Python's int-string limit (sys.get_int_max_str_digits()).  Compiled, and
+# cached by re, only when a token is refused.
+_INT_TOKEN = r"[+-]?\d+(_\d+)*"
+
+
+def _int_limit_message() -> str:
+    return f"integer longer than Python's int-string limit of {sys.get_int_max_str_digits()} digits"
+
+
+def _int(token: str) -> int:
+    """The type of every integer argument: a token past the int-string
+    limit is refused by naming the limit, not by echoing its digits."""
+    try:
+        return int(token)
+    except ValueError:
+        if re.fullmatch(_INT_TOKEN, token):
+            raise argparse.ArgumentTypeError(_int_limit_message()) from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
+
 
 def _check_json_ints(obj) -> None:
     """Reject integers JSON consumers cannot hold exactly (|v| >= 2^53)."""
@@ -102,9 +122,8 @@ def _read_tetrahedron(args) -> Tetrahedron:
         try:
             values = [int(tok) for tok in tokens]
         except ValueError:
-            if all(re.fullmatch(r"[+-]?\d+(_\d+)*", tok) for tok in tokens):
-                limit = sys.get_int_max_str_digits()
-                raise ValueError(f"--file {args.file} holds an integer longer than Python's int-string limit of {limit} digits")
+            if all(re.fullmatch(_INT_TOKEN, tok) for tok in tokens):
+                raise ValueError(f"--file {args.file} holds an {_int_limit_message()}")
             raise ValueError(f"--file {args.file} must contain whitespace-separated integers")
     else:
         values = args.coords
@@ -265,7 +284,7 @@ def _add_vertex_arguments(sub) -> None:
     sub.add_argument(
         "coords",
         nargs="*",
-        type=int,
+        type=_int,
         metavar="N",
         help="12 integers: x y z for each of the four vertices",
     )
@@ -322,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="List every (a, b) with T(a, b, c) empty, with the "
         "fourth parameter d and the unit-parameter clause that applies.",
     )
-    p.add_argument("c", type=int, help="the third parameter (six times the volume)")
+    p.add_argument("c", type=_int, help="the third parameter (six times the volume)")
     _add_format_arguments(p)
     p.set_defaults(func=_cmd_enumerate)
 
@@ -333,9 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
         "parallelepiped spanned by e1, e2 and (a, b, c); requires "
         "gcd(a, c) = gcd(b, c) = 1.",
     )
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("c", type=int)
+    p.add_argument("a", type=_int)
+    p.add_argument("b", type=_int)
+    p.add_argument("c", type=_int)
     _add_format_arguments(p)
     p.set_defaults(func=_cmd_points)
 
@@ -353,9 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=suites,
         help="suite to run (repeatable; default: all)",
     )
-    p.add_argument("--max-c", type=int, help="largest c to sweep")
-    p.add_argument("--trials", type=int, help="normalization round-trip count")
-    p.add_argument("--seed", type=int, help="seed for the normalization suite")
+    p.add_argument("--max-c", type=_int, help="largest c to sweep")
+    p.add_argument("--trials", type=_int, help="normalization round-trip count")
+    p.add_argument("--seed", type=_int, help="seed for the normalization suite")
     p.add_argument("--json", action="store_true", help="emit JSON reports")
     p.set_defaults(func=_cmd_verify)
 

@@ -161,35 +161,36 @@ def verify_white(c_max: int = 25) -> VerificationReport:
 
 def verify_coplanarity(c_max: int = 25) -> VerificationReport:
     """Interior points of the spanned parallelepiped for every clean form
-    with c <= c_max: the generator must match the scanning oracle and
-    produce exactly c - 1 points, and for empty forms each unit-parameter
-    clause pins the points to its plane."""
+    with c <= c_max, counted and tested on the scanning oracle: the scan
+    must find exactly c - 1 points, the generator must list the same
+    points, and for empty forms each unit-parameter clause pins the
+    scanned points to its plane."""
     report = _start("coplanar", c_max)
     for c in range(1, c_max + 1):
         for form in clean_forms(c):
             a, b = form.a, form.b
-            points = parallelepiped_interior_points(a, b, c)
+            scan = parallelepiped_interior_bruteforce(a, b, c)
             report.record(
                 "interior_count_is_c_minus_1",
-                len(points) == c - 1,
-                lambda: f"P({a},{b},{c}): {len(points)} points",
+                len(scan) == c - 1,
+                lambda: f"P({a},{b},{c}): {len(scan)} points",
             )
             tag = lambda: f"P({a},{b},{c})"
             report.record(
                 "generator_matches_scan",
-                sorted(points) == parallelepiped_interior_bruteforce(a, b, c),
+                sorted(parallelepiped_interior_points(a, b, c)) == scan,
                 tag,
             )
             if not white_empty(form):
                 continue
             if a == 1:
-                report.record("plane_x", all(p[0] == 1 for p in points), tag)
+                report.record("plane_x", all(p[0] == 1 for p in scan), tag)
             if b == 1:
-                report.record("plane_y", all(p[1] == 1 for p in points), tag)
+                report.record("plane_y", all(p[1] == 1 for p in scan), tag)
             if form.d == 1:
                 report.record(
                     "plane_x_plus_y_minus_z",
-                    all(p[0] + p[1] - p[2] == 1 for p in points),
+                    all(p[0] + p[1] - p[2] == 1 for p in scan),
                     tag,
                 )
     return report.finish()

@@ -5,7 +5,9 @@ each criterion.  Ranges, trial counts and time budgets are pinned on
 purpose: criterion 1 sweeps every form with c <= 25 against the
 brute-force oracle under 60 s, criterion 6 sweeps all coprime staircase
 pairs with c <= 100 under 5 s, and all comparisons are exact (zero
-mismatches allowed).
+mismatches allowed).  Criteria 1, 2, 4, 5, 6 and 7 read the reports of
+the `emptytet.verify` suites, so each check is written once, there;
+criteria 3 and 8 have no suite and keep their own loops.
 """
 
 import math
@@ -14,15 +16,14 @@ import pytest
 
 from emptytet import (
     CanonicalForm,
-    empty_forms,
-    parallelepiped_interior_points,
     standard_tetrahedron,
+    verify_coplanarity,
     verify_floor_steps,
     verify_normalization,
     verify_white,
     white_empty,
 )
-from emptytet.geometry import is_empty_bruteforce, parallelepiped_interior_bruteforce
+from emptytet.geometry import is_empty_bruteforce
 from emptytet.white import clean_forms, satisfies_fraction_system, satisfies_step_system
 
 C_MAX = 25
@@ -84,15 +85,16 @@ def test_criterion_3_equation_systems_agree():
     )
 
 
-def test_criterion_4_interior_point_generator():
-    checked = failures = 0
-    for c in range(1, C_MAX + 1):
-        for form in clean_forms(c):
-            points = parallelepiped_interior_points(form.a, form.b, c)
-            scan = parallelepiped_interior_bruteforce(form.a, form.b, c)
-            checked += 1
-            if len(points) != c - 1 or sorted(points) != scan:
-                failures += 1
+@pytest.fixture(scope="module")
+def coplanar_report():
+    return verify_coplanarity(C_MAX)
+
+
+def test_criterion_4_interior_point_generator(coplanar_report):
+    count = coplanar_report.tallies["interior_count_is_c_minus_1"]
+    matches = coplanar_report.tallies["generator_matches_scan"]
+    checked = count.passed + count.failed
+    failures = count.failed + matches.failed
     _verdict(
         4,
         "parallelepiped has c-1 interior points, generator == scan",
@@ -101,22 +103,10 @@ def test_criterion_4_interior_point_generator():
     )
 
 
-def test_criterion_5_interior_points_coplanar():
-    planes = {
-        "a": lambda p: p[0] == 1,
-        "b": lambda p: p[1] == 1,
-        "d": lambda p: p[0] + p[1] - p[2] == 1,
-    }
-    clause_checks = violations = 0
-    for c in range(1, C_MAX + 1):
-        for form in empty_forms(c):
-            points = parallelepiped_interior_points(form.a, form.b, c)
-            for name, on_plane in planes.items():
-                if getattr(form, name) != 1:
-                    continue
-                clause_checks += 1
-                if not all(on_plane(p) for p in points):
-                    violations += 1
+def test_criterion_5_interior_points_coplanar(coplanar_report):
+    planes = [coplanar_report.tallies[name] for name in ("plane_x", "plane_y", "plane_x_plus_y_minus_z")]
+    clause_checks = sum(t.passed + t.failed for t in planes)
+    violations = sum(t.failed for t in planes)
     _verdict(
         5,
         "each unit-parameter plane holds all interior points",

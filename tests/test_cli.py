@@ -190,6 +190,31 @@ def test_file_integer_past_the_int_string_limit(run, tmp_path):
         )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate"], ["points", "1", "1"], ["classify", *T115[:11]], ["verify", "--max-c"]],
+    ids=["enumerate-c", "points-c", "classify-coordinate", "verify-max-c"],
+)
+def test_integer_argument_past_the_int_string_limit(run, argv):
+    # one line names the limit; the token's digits are not echoed back
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(*argv, "7" * (limit + 700))
+    assert code == 2
+    assert out == ""
+    assert len(err.encode()) < 300
+    assert err.endswith(f"integer longer than Python's int-string limit of {limit} digits\n")
+
+
+def test_integer_argument_not_an_integer(run):
+    code, out, err = run("classify", *T115[:11], "1.5")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "usage: emptytet classify [-h] [--file FILE] [--json] [--oracle] [N ...]\n"
+        "emptytet classify: error: argument N: invalid int value: '1.5'\n"
+    )
+
+
 def test_classify_wrong_coordinate_count(run):
     code, _, err = run("classify", *T115[:11])
     assert code == 2

@@ -431,16 +431,10 @@ def test_parallelepiped_points_match_scan():
                     for x, y, z in box
                     if 0 < z < c and 0 < x * c - z * a < c and 0 < y * c - z * b < c
                 ], (a, b, c)
-                if math.gcd(a, c) != 1 or math.gcd(b, c) != 1:
-                    continue
-                pts = parallelepiped_interior_points(a, b, c)
-                assert len(pts) == c - 1, (a, b, c)
-                assert len(set(pts)) == c - 1, (a, b, c)
-                assert sorted(pts) == parallelepiped_interior_bruteforce(a, b, c), (
-                    a,
-                    b,
-                    c,
-                )
+                # the coplanar suite compares the two on clean forms only
+                if math.gcd(a, c) == 1 and math.gcd(b, c) == 1:
+                    points = parallelepiped_interior_points(a, b, c)
+                    assert sorted(points) == parallelepiped_interior_bruteforce(a, b, c), (a, b, c)
 
 
 def reference_points(a, b, c):

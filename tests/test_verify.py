@@ -4,7 +4,7 @@ import random
 import pytest
 
 from emptytet import verify, white
-from emptytet.geometry import parallelepiped_interior_points, standard_tetrahedron
+from emptytet.geometry import parallelepiped_interior_bruteforce, standard_tetrahedron
 from emptytet.intlin import det3
 from emptytet.verify import (
     _MAX_TRIALS,
@@ -57,18 +57,36 @@ def test_white_planted_counterexample(monkeypatch):
 
 
 def test_coplanar_planted_counterexample(monkeypatch):
-    def points(a, b, c):
-        got = parallelepiped_interior_points(a, b, c)
+    def scan(a, b, c):
+        got = parallelepiped_interior_bruteforce(a, b, c)
         # At P(1,2,5) drop the last point and move the first off the plane x = 1.
         return [(2, *got[0][1:])] + got[1:-1] if (a, b, c) == (1, 2, 5) else got
 
-    monkeypatch.setattr(verify, "parallelepiped_interior_points", points)
+    monkeypatch.setattr(verify, "parallelepiped_interior_bruteforce", scan)
     report = verify_coplanarity(6)
     assert report.counterexamples == [
         "interior_count_is_c_minus_1: P(1,2,5): 3 points",
         "generator_matches_scan: P(1,2,5)",
         "plane_x: P(1,2,5)",
     ]
+
+
+# The count and the planes are tested on the scan, not on the generator,
+# whose construction guarantees them: a scan that loses its last point,
+# or moves every point of an a = 1 form off x = 1, must fail them.
+@pytest.mark.parametrize(
+    "check,planted,tally",
+    [
+        ("interior_count_is_c_minus_1", lambda a, got: got[:-1], (1, 24)),
+        ("plane_x", lambda a, got: [(x + 1, y, z) for x, y, z in got] if a == 1 else got, (0, 11)),
+    ],
+    ids=["dropped-point", "off-plane-x"],
+)
+def test_coplanar_checks_run_on_the_scan(monkeypatch, check, planted, tally):
+    scan = parallelepiped_interior_bruteforce
+    monkeypatch.setattr(verify, "parallelepiped_interior_bruteforce", lambda a, b, c: planted(a, scan(a, b, c)))
+    got = verify_coplanarity(6).tallies[check]
+    assert (got.passed, got.failed) == tally
 
 
 def test_fn_planted_counterexample(monkeypatch):
