@@ -253,6 +253,8 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"{what} would be ignored: the normalize suite is not selected")
     if args.trials is not None:
         _check_trials(args.trials)
+    if args.json:
+        _check_json_ints(extra)
     c_max = {} if args.max_c is None else {"c_max": args.max_c}
     if args.max_c is not None:
         for name in suites:

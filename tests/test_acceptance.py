@@ -8,6 +8,17 @@ pairs with c <= 100 under 5 s, and all comparisons are exact (zero
 mismatches allowed).  Criteria 1, 2, 4, 5, 6 and 7 read the reports of
 the `emptytet.verify` suites, so each check is written once, there;
 criteria 3 and 8 have no suite and keep their own loops.
+
+These are the one exhaustive sweep of each claim, and tier-1 keeps no
+smaller copy of them.  Criteria 1 and 3 replace test_white's
+`test_step_system_matches_fraction_system` (c <= 18) and
+`test_systems_match_oracle_and_criterion` (c <= 12); criteria 1 and 2
+replace test_geometry's `test_empty_implies_clean` (c <= 8); criterion 1
+replaces test_verify's `test_verify_white_small` and
+`test_verify_white_deterministic`; criterion 6, on the rows that
+test_white's `test_floor_steps_row_matches_floor_step` checks against
+`floor_step`, replaces `test_support_size_by_telescoping` and
+`test_complement_identity` (c <= 60).
 """
 
 import math

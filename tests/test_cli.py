@@ -23,40 +23,6 @@ def run(capsys):
     return invoke
 
 
-def test_classify_text(run):
-    code, out, err = run("classify", *T115)
-    assert code == 0
-    assert err == ""
-    assert out.splitlines() == [
-        "vertices: (0, 0, 0) (1, 0, 0) (0, 1, 0) (1, 1, 5)",
-        "volume6: 5",
-        "clean: yes",
-        "empty: yes",
-        "canonical form: a=1 b=1 c=5 d=4",
-        "map matrix rows: (1, 0, 0) (0, 1, 0) (0, 0, 1)",
-        "map translation: (0, 0, 0)",
-        "plane: x=1",
-        "interior points (canonical coordinates): (1, 1, 1) (1, 1, 2) (1, 1, 3) (1, 1, 4)",
-    ]
-
-
-def test_classify_json(run):
-    code, out, err = run("classify", *T115, "--json")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["schema_version"] == 1
-    assert payload["command"] == "classify"
-    assert payload["volume6"] == 5
-    assert payload["clean"] is True
-    assert payload["empty"] is True
-    assert payload["canonical_form"] == {"a": 1, "b": 1, "c": 5, "d": 4}
-    assert payload["plane"] == "x=1"
-    assert payload["interior_points"] == [[1, 1, 1], [1, 1, 2], [1, 1, 3], [1, 1, 4]]
-    assert payload["oracle"] is None
-    # single line, no trailing spaces: stable bytes for fixed input
-    assert out == json.dumps(payload, separators=(", ", ": ")) + "\n"
-
-
 # Exact bytes of one payload per command: key order included, with
 # schema_version and command always first.
 JSON_PAYLOADS = [
@@ -239,51 +205,16 @@ def test_classify_json_integer_bound(run):
     assert "volume6: 1" in out.splitlines()
 
 
-def test_normalize_json_with_check(run):
-    code, out, err = run("normalize", "0", "0", "0", "1", "0", "0", "0", "1", "0", "5", "3", "2", "--check")
-    assert code == 0
-    assert err == ""
-    payload = json.loads(out)
-    assert payload["command"] == "normalize"
-    assert payload["form"] == {"a": 1, "b": 1, "c": 2, "d": 1}
-    assert payload["map"] == {
-        "matrix": [[1, 0, -2], [0, 1, -1], [0, 0, 1]],
-        "translation": [0, 0, 0],
-    }
-    assert payload["image"] == [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 2]]
-    assert payload["check"] == "ok"
-
-
 def test_normalize_not_normalizable(run):
     code, _, err = run("normalize", *DOUBLED_UNIT)
     assert code == 2
     assert "not normalizable" in err
 
 
-def test_enumerate_text(run):
-    code, out, _ = run("enumerate", "3")
-    assert code == 0
-    assert out.splitlines() == [
-        "a b d clause",
-        "1 1 2 a=1",
-        "1 2 1 a=1",
-        "2 1 1 b=1",
-    ]
-
-
 def test_enumerate_csv(run):
     code, out, _ = run("enumerate", "3", "--csv")
     assert code == 0
     assert out.splitlines() == ["a,b,d,clause", "1,1,2,a=1", "1,2,1,a=1", "2,1,1,b=1"]
-
-
-def test_enumerate_json(run):
-    code, out, _ = run("enumerate", "2", "--json")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["c"] == 2
-    assert payload["count"] == 1
-    assert payload["forms"] == [{"a": 1, "b": 1, "d": 1, "clause": "a=1"}]
 
 
 def test_enumerate_unit_volume(run):
@@ -323,28 +254,6 @@ def test_points_text(run):
     assert out == "1 1 1\n"
 
 
-def test_points_csv(run):
-    code, out, _ = run("points", "2", "3", "7", "--csv")
-    assert code == 0
-    assert out.splitlines() == [
-        "x,y,z",
-        "1,1,1",
-        "1,1,2",
-        "1,2,3",
-        "2,2,4",
-        "2,3,5",
-        "2,3,6",
-    ]
-
-
-def test_points_json(run):
-    code, out, _ = run("points", "1", "1", "5", "--json")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["count"] == 4
-    assert payload["points"] == [[1, 1, 1], [1, 1, 2], [1, 1, 3], [1, 1, 4]]
-
-
 def test_points_rejects_common_factor(run):
     code, _, err = run("points", "2", "2", "4")
     assert code == 2
@@ -369,18 +278,6 @@ def test_classify_refuses_interior_listing_past_the_budget(run):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "budget of c <= 100000" in err
-
-
-def test_verify_single_suite_text(run):
-    code, out, err = run("verify", "--suite", "white", "--max-c", "6")
-    assert code == 0
-    assert err.startswith("# suite white:")
-    assert out.splitlines() == [
-        "suite white (c_max=6): 182 cases, ok",
-        "  empty_criterion_vs_oracle: 91 passed, 0 failed",
-        "  clean_criterion_vs_oracle: 91 passed, 0 failed",
-        "overall: ok",
-    ]
 
 
 def test_verify_json_byte_stable(run):
@@ -496,6 +393,22 @@ def test_verify_refuses_trials_past_the_budget(run):
             assert code == 2
             assert out == ""
             assert err == f"error: the normalize suite exceeds its budget of trials <= 7000, got trials = {trials}\n"
+
+
+def test_verify_json_refuses_seed_past_the_bound_before_any_suite_runs(run):
+    # no "# suite" timing line: the refusal comes first, as for --max-c
+    for seed in (2**53, -(2**53)):
+        code, out, err = run("verify", "--json", "--seed", str(seed))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: integer {seed} does not fit the 2^53 JSON bound\n"
+    code, out, _ = run("verify", "--json", "--suite", "normalize", "--trials", "5", "--seed", str(2**53 - 1))
+    assert code == 0
+    assert json.loads(out)["reports"][0]["params"]["seed"] == 2**53 - 1
+    # text output has no such bound
+    code, out, _ = run("verify", "--suite", "normalize", "--trials", "5", "--seed", str(2**53))
+    assert code == 0
+    assert out.startswith(f"suite normalize (trials=5 seed={2**53} c_max=10)")
 
 
 def test_help_exits_zero(run):

@@ -390,14 +390,6 @@ def test_oracle_components_agree():
                 assert bruteforce_verdicts(t)[0] == is_empty_bruteforce(t), (a, b, c)
 
 
-def test_empty_implies_clean():
-    for c in range(1, 9):
-        for a in range(c):
-            for b in range(c):
-                empty, clean = bruteforce_verdicts(standard_tetrahedron(a, b, c))
-                assert clean or not empty, (a, b, c)
-
-
 def test_oracle_invariant_under_unimodular_maps():
     rng = random.Random(23)
     for a, b, c in [(1, 1, 2), (1, 2, 5), (2, 3, 7), (0, 0, 3)]:

@@ -211,19 +211,22 @@ def test_canonicalize_normalizes_once_with_the_first_smallest_roles(monkeypatch)
             assert calls == [best[0]], t
 
 
-def test_canonicalize_matches_reference_on_random_tetrahedra():
-    rng = random.Random(32)
-    tried = normalizable = 0
-    while tried < 2500:
-        vertices = [tuple(rng.randint(-6, 6) for _ in range(3)) for _ in range(4)]
+def random_tetrahedra(rng, count, bound=6):
+    """count non-degenerate tetrahedra with vertices in [-bound, bound]^3."""
+    while count:
+        vertices = [tuple(rng.randint(-bound, bound) for _ in range(3)) for _ in range(4)]
         try:
             t = Tetrahedron(*vertices)
         except DegenerateTetrahedronError:
             continue
-        tried += 1
-        normalizable += assert_matches_reference(t)
+        yield t
+        count -= 1
+
+
+def test_canonicalize_matches_reference_on_random_tetrahedra():
+    normalizable = sum(assert_matches_reference(t) for t in random_tetrahedra(random.Random(32), 2500))
     # both outcomes occur in the sample
-    assert 0 < normalizable < tried
+    assert 0 < normalizable < 2500
 
 
 def assert_face_weights_match_every_role(t):
@@ -245,18 +248,6 @@ def assert_face_weights_match_every_role(t):
 def test_face_weights_match_every_role_on_scrambled_forms():
     for t in scrambled_forms(random.Random(33)):
         assert_face_weights_match_every_role(t)
-
-
-def random_tetrahedra(rng, count, bound=6):
-    """count non-degenerate tetrahedra with vertices in [-bound, bound]^3."""
-    while count:
-        vertices = [tuple(rng.randint(-bound, bound) for _ in range(3)) for _ in range(4)]
-        try:
-            t = Tetrahedron(*vertices)
-        except DegenerateTetrahedronError:
-            continue
-        yield t
-        count -= 1
 
 
 def test_face_weights_match_every_role_on_random_tetrahedra():

@@ -2,9 +2,11 @@
 
 Every `$ emptytet ...` line of a ```sh block is run through the CLI and
 its stdout compared byte for byte with the lines shown under it (lines
-marked `<- stderr` are not stdout and are skipped).  The Library snippet's
-stated results are evaluated, and the names the Library section lists are
-exactly the package's top level.
+marked `<- stderr` are not stdout and are skipped), and its stderr must be
+empty exactly when the example shows no `<- stderr` line.  These examples
+are the byte tests of the text output.  The Library snippet's stated
+results are evaluated, and the names the Library section lists are exactly
+the package's top level.
 """
 
 import re
@@ -27,30 +29,32 @@ def _blocks(lang: str) -> list[list[str]]:
     ]
 
 
-def _cli_examples() -> list[tuple[str, str]]:
-    """(command line, expected stdout) for each CLI example."""
+def _cli_examples() -> list[tuple[str, str, bool]]:
+    """(command line, expected stdout, shows stderr) for each CLI example."""
     examples = []
     for lines in _blocks("sh"):
         for line in lines:
             if line.startswith(PROMPT):
-                examples.append((line[len(PROMPT):], []))
-            elif examples and not line.startswith("$") and "<- stderr" not in line:
-                examples[-1][1].append(line)
-    return [(command, "".join(out + "\n" for out in shown)) for command, shown in examples]
+                examples.append((line[len(PROMPT):], [], []))
+            elif examples and not line.startswith("$"):
+                examples[-1][2 if "<- stderr" in line else 1].append(line)
+    return [(command, "".join(out + "\n" for out in shown), bool(err)) for command, shown, err in examples]
 
 
 CLI_EXAMPLES = _cli_examples()
 
 
 def test_readme_has_cli_examples():
-    commands = {command.split()[0] for command, _ in CLI_EXAMPLES}
+    commands = {command.split()[0] for command, _, _ in CLI_EXAMPLES}
     assert commands == {"classify", "normalize", "enumerate", "points", "verify"}
 
 
-@pytest.mark.parametrize("command,expected", CLI_EXAMPLES, ids=[c for c, _ in CLI_EXAMPLES])
-def test_readme_cli_example(command, expected, capsys):
+@pytest.mark.parametrize("command,expected,shows_stderr", CLI_EXAMPLES, ids=[c for c, _, _ in CLI_EXAMPLES])
+def test_readme_cli_example(command, expected, shows_stderr, capsys):
     assert main(shlex.split(command)) == 0
-    assert capsys.readouterr().out == expected
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert (captured.err != "") == shows_stderr
 
 
 def test_readme_library_snippet_results():

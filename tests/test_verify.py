@@ -145,18 +145,6 @@ def test_report_to_dict_shape():
     }
 
 
-def test_verify_white_small():
-    report = verify_white(3)
-    assert report.ok
-    # forms: 1 + 4 + 9, two checks each
-    assert report.cases == 28
-    assert report.tallies["empty_criterion_vs_oracle"].passed == 14
-
-
-def test_verify_white_deterministic():
-    assert verify_white(4).to_dict() == verify_white(4).to_dict()
-
-
 def test_verify_coplanarity_small():
     report = verify_coplanarity(8)
     assert report.ok

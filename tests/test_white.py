@@ -2,7 +2,6 @@ import math
 
 import pytest
 
-from emptytet.geometry import is_empty_bruteforce, standard_tetrahedron
 from emptytet.white import (
     _MAX_ENUMERATE_C,
     CanonicalForm,
@@ -104,20 +103,6 @@ def test_systems_require_clean_and_height():
         satisfies_step_system(CanonicalForm(2, 4, 6))
 
 
-def test_step_system_matches_fraction_system():
-    for c in range(2, 19):
-        for form in clean_forms(c):
-            assert satisfies_step_system(form) == satisfies_fraction_system(form), form
-
-
-def test_systems_match_oracle_and_criterion():
-    for c in range(2, 13):
-        for form in clean_forms(c):
-            oracle = is_empty_bruteforce(standard_tetrahedron(form.a, form.b, c))
-            assert satisfies_fraction_system(form) == oracle, form
-            assert white_empty(form) == oracle, form
-
-
 def test_step_system_c2_rests_on_sum():
     # at c = 2 the k-range 1..c-2 is vacuous; the verdict is the sum check
     assert satisfies_step_system(CanonicalForm(1, 1, 2))
@@ -204,21 +189,6 @@ def test_support_closed_form_and_size():
             assert len(support) == n - 1, (n, c)
 
 
-def test_support_size_by_telescoping():
-    # sum of the increments telescopes to floor((c-1)n/c) - floor(n/c) = n - 1
-    for c in range(3, 61):
-        for n in coprime_range(c):
-            total = sum(floor_step(n, c, k) for k in range(1, c - 1))
-            assert total == (c - 1) * n // c - n // c == n - 1, (n, c)
-
-
-def test_complement_identity():
-    for c in range(3, 61):
-        for n in coprime_range(c):
-            for k in range(1, c - 1):
-                assert floor_step(c - n, c, k) == 1 - floor_step(n, c, k), (n, c, k)
-
-
 def test_satisfied_clause():
     assert satisfied_clause(CanonicalForm(0, 0, 1)) == "c=1"
     assert satisfied_clause(CanonicalForm(1, 1, 5)) == "a=1"
@@ -241,20 +211,6 @@ def test_empty_forms_budget():
         empty_forms(_MAX_ENUMERATE_C + 1)
 
 
-def test_enumerators_consistent():
-    for c in range(1, 121):
-        cleans = clean_forms(c)
-        empties = empty_forms(c)
-        # the O(c) family listing against the O(c^2) filter, order included
-        assert empties == [f for f in cleans if white_empty(f)], c
-        assert set(empties) <= set(cleans)
-        assert all(is_clean_form(f) for f in cleans)
-        assert all(white_empty(f) for f in empties)
-        # clean forms missing from the empty list fail the unit clause
-        for f in set(cleans) - set(empties):
-            assert 1 not in (f.a, f.b, f.c, f.d)
-
-
 def test_clean_forms_match_the_gcd_filter():
     # the unit-table listing against the three-gcd test over every form, order included
     for c in range(1, 121):
@@ -271,10 +227,11 @@ def test_units_match_gcd():
 
 
 def test_empty_form_at_matches_listing():
-    # the one layout, every offset, and its count against the O(c^2)
-    # filter over the clean forms, order included
+    # the one layout, every offset, its count and the O(c) listing against
+    # the O(c^2) filter over the clean forms, order included
     for c in range(1, 201):
         units = _units(c)
         empties = [f for f in clean_forms(c) if white_empty(f)]
         assert _empty_form_count(units) == len(empties), c
         assert [_empty_form_at(c, units, i) for i in range(len(empties))] == empties, c
+        assert empty_forms(c) == empties, c
