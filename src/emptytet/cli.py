@@ -90,10 +90,6 @@ def _print_table(args, header, rows, text_header=True) -> None:
         print(sep.join(map(str, row)))
 
 
-def _fmt_vec(p) -> str:
-    return f"({p[0]}, {p[1]}, {p[2]})"
-
-
 def _form_payload(form) -> dict:
     return {"a": form.a, "b": form.b, "c": form.c, "d": form.d}
 
@@ -103,18 +99,11 @@ def _form_payload(form) -> dict:
 _CLAUSE_PLANE = {"a=1": "x=1", "b=1": "y=1", "d=1": "x+y-z=1", "c=1": "c=1"}
 
 
-def _map_payload(lmap) -> dict:
-    return {
-        "matrix": [list(row) for row in lmap.matrix],
-        "translation": list(lmap.translation),
-    }
-
-
 def _read_tetrahedron(args) -> Tetrahedron:
     if args.file is not None:
         if args.coords:
             raise ValueError("give coordinates either inline or via --file, not both")
-        with open(args.file, encoding="utf-8") as fh:
+        with open(args.file, encoding="utf-8-sig") as fh:
             text = fh.read(_MAX_FILE_CHARS + 1)
         if len(text) > _MAX_FILE_CHARS:
             raise ValueError(f"--file {args.file} exceeds its bound of {_MAX_FILE_CHARS} characters")
@@ -157,33 +146,31 @@ def _cmd_classify(args) -> int:
     if args.json:
         _print_json(
             args,
-            vertices=[list(p) for p in t.vertices()],
+            vertices=t.vertices(),
             volume6=volume6(t),
             clean=clean,
             empty=empty,
             canonical_form=_form_payload(form) if form is not None else None,
-            map=_map_payload(result.map) if result is not None else None,
+            map=result.map._asdict() if result is not None else None,
             plane=plane,
-            interior_points=[list(p) for p in interior] if interior is not None else None,
+            interior_points=interior,
             oracle=oracle,
         )
     else:
-        print("vertices:", " ".join(_fmt_vec(p) for p in t.vertices()))
+        # Vectors are plain int tuples, so print writes each as (x, y, z).
+        print("vertices:", *t.vertices())
         print("volume6:", volume6(t))
         print("clean:", "yes" if clean else "no")
         print("empty:", "yes" if empty else "no")
         if form is not None:
             print(f"canonical form: a={form.a} b={form.b} c={form.c} d={form.d}")
-            print("map matrix rows:", " ".join(_fmt_vec(r) for r in result.map.matrix))
-            print("map translation:", _fmt_vec(result.map.translation))
+            print("map matrix rows:", *result.map.matrix)
+            print("map translation:", result.map.translation)
         else:
             print("canonical form: none (not normalizable)")
         if empty:
             print("plane:", plane)
-            print(
-                "interior points (canonical coordinates):",
-                " ".join(_fmt_vec(p) for p in interior) if interior else "none",
-            )
+            print("interior points (canonical coordinates):", *(interior or ["none"]))
         if oracle is not None:
             print(
                 "oracle: empty={} clean={} agreement={}".format(
@@ -212,10 +199,10 @@ def _cmd_normalize(args) -> int:
         return 1
     _print_json(
         args,
-        vertices=[list(p) for p in t.vertices()],
+        vertices=t.vertices(),
         form=_form_payload(form),
-        map=_map_payload(result.map),
-        image=[list(p) for p in image],
+        map=result.map._asdict(),
+        image=image,
         **({"check": "ok"} if args.check else {}),
     )
     return 0
@@ -235,9 +222,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_points(args) -> int:
     points = parallelepiped_interior_points(args.a, args.b, args.c)
     if args.json:
-        _print_json(
-            args, a=args.a, b=args.b, c=args.c, count=len(points), points=[list(p) for p in points]
-        )
+        _print_json(args, a=args.a, b=args.b, c=args.c, count=len(points), points=points)
     else:
         _print_table(args, ("x", "y", "z"), points, text_header=False)
     return 0

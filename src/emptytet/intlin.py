@@ -1,8 +1,8 @@
 """Exact integer linear algebra on Z^3.
 
 Everything works on plain integer 3-tuples and row-major 3x3 tuples of
-tuples.  Python integers are unbounded, so every determinant, cross
-product and inverse below is exact; no floating point appears anywhere
+tuples.  Python integers are unbounded, so every determinant, Bezout
+vector and adjugate below is exact; no floating point appears anywhere
 in this package.  AffineUnimodularMap, like the package's other value
 types, is an immutable named tuple: it unpacks like a tuple and compares
 equal to the plain tuple of its fields.
@@ -27,21 +27,8 @@ class NotPrimitiveError(ValueError):
     """A vector pair that must extend to a lattice basis does not."""
 
 
-def add(u: Vec3, v: Vec3) -> Vec3:
-    return (u[0] + v[0], u[1] + v[1], u[2] + v[2])
-
-
 def dot(u: Vec3, v: Vec3) -> int:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-def cross(u: Vec3, v: Vec3) -> Vec3:
-    """Integer cross product; dot(cross(u, v), w) == det3((u, v, w))."""
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
 
 
 def det3(m: Mat3) -> int:
@@ -82,10 +69,11 @@ def extend_to_basis(u: Vec3, v: Vec3) -> Vec3:
     """Complete a primitive pair {u, v} to a basis of Z^3.
 
     Returns w with det3((u, v, w)) == +1.  The pair is primitive exactly
-    when gcd of cross(u, v) is 1; a collinear or non-primitive pair raises
-    NotPrimitiveError.
+    when its cross product n has gcd 1; a collinear or non-primitive pair
+    raises NotPrimitiveError.  Since dot(n, w) == det3((u, v, w)), n is
+    read off det3 one row of the identity at a time.
     """
-    n = cross(u, v)
+    n = tuple(det3((u, v, e)) for e in IDENTITY)
     if n == ZERO:
         raise NotPrimitiveError(f"collinear pair: {u}, {v}")
     g, x, y, z = extended_gcd3(*n)
@@ -93,34 +81,13 @@ def extend_to_basis(u: Vec3, v: Vec3) -> Vec3:
         raise NotPrimitiveError(
             f"pair is not primitive (cross product has gcd {g}): {u}, {v}"
         )
-    # det3((u, v, w)) equals dot(cross(u, v), w) == g == 1, so the
-    # orientation is already the required +1.
+    # det3((u, v, w)) equals dot(n, w) == g == 1, so the orientation is
+    # already the required +1.
     return (x, y, z)
 
 
-def transpose(m: Mat3) -> Mat3:
-    return (
-        (m[0][0], m[1][0], m[2][0]),
-        (m[0][1], m[1][1], m[2][1]),
-        (m[0][2], m[1][2], m[2][2]),
-    )
-
-
-def mat_vec(m: Mat3, p: Vec3) -> Vec3:
-    return (dot(m[0], p), dot(m[1], p), dot(m[2], p))
-
-
-def mat_mul(m: Mat3, n: Mat3) -> Mat3:
-    c0, c1, c2 = transpose(n)
-    return (
-        (dot(m[0], c0), dot(m[0], c1), dot(m[0], c2)),
-        (dot(m[1], c0), dot(m[1], c1), dot(m[1], c2)),
-        (dot(m[2], c0), dot(m[2], c1), dot(m[2], c2)),
-    )
-
-
 def adjugate(m: Mat3) -> Mat3:
-    """Transposed cofactor matrix: mat_mul(m, adjugate(m)) == det3(m) * I."""
+    """Transposed cofactor matrix: m times adjugate(m) is det3(m) * I."""
     (a, b, c), (d, e, f), (g, h, i) = m
     return (
         (e * i - f * h, c * h - b * i, b * f - c * e),
@@ -160,8 +127,9 @@ class AffineUnimodularMap(
 
     def compose(self, other: AffineUnimodularMap) -> AffineUnimodularMap:
         """Map applying `other` first: L1.compose(L2)(p) == L1(L2(p))."""
+        columns = tuple(zip(*other.matrix))
         return AffineUnimodularMap(
-            mat_mul(self.matrix, other.matrix),
-            add(mat_vec(self.matrix, other.translation), self.translation),
+            tuple(tuple(dot(row, col) for col in columns) for row in self.matrix),
+            self.apply(other.translation),
         )
 

@@ -11,6 +11,7 @@ from emptytet.verify import VerificationReport, _suites
 
 T115 = ["0", "0", "0", "1", "0", "0", "0", "1", "0", "1", "1", "5"]
 DOUBLED_UNIT = ["0", "0", "0", "2", "0", "0", "0", "2", "0", "0", "0", "2"]
+UNIT = ["0", "0", "0", "1", "0", "0", "0", "1", "0", "0", "0", "1"]
 
 
 @pytest.fixture
@@ -23,20 +24,20 @@ def run(capsys):
     return invoke
 
 
-# Exact bytes of one payload per command: key order included, with
-# schema_version and command always first.
-JSON_PAYLOADS = [
-    (
+# Exact bytes of one payload per command, and of classify's null and empty
+# fields: key order included, with schema_version and command always first.
+JSON_PAYLOADS = {
+    "enumerate": (
         ["enumerate", "2"],
         '{"schema_version": 1, "command": "enumerate", "c": 2, "count": 1, '
         '"forms": [{"a": 1, "b": 1, "d": 1, "clause": "a=1"}]}',
     ),
-    (
+    "points": (
         ["points", "1", "1", "5"],
         '{"schema_version": 1, "command": "points", "a": 1, "b": 1, "c": 5, "count": 4, '
         '"points": [[1, 1, 1], [1, 1, 2], [1, 1, 3], [1, 1, 4]]}',
     ),
-    (
+    "classify": (
         ["classify", *T115],
         '{"schema_version": 1, "command": "classify", '
         '"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 5]], "volume6": 5, '
@@ -45,7 +46,7 @@ JSON_PAYLOADS = [
         '"plane": "x=1", "interior_points": [[1, 1, 1], [1, 1, 2], [1, 1, 3], [1, 1, 4]], '
         '"oracle": null}',
     ),
-    (
+    "verify": (
         ["verify", "--suite", "fn", "--max-c", "3"],
         '{"schema_version": 1, "command": "verify", "ok": true, "reports": [{"suite": "fn", '
         '"params": {"c_max": 3}, "ok": true, "cases": 7, "checks": '
@@ -54,10 +55,26 @@ JSON_PAYLOADS = [
         '"support_closed_form": {"passed": 1, "failed": 0}, '
         '"support_size": {"passed": 1, "failed": 0}}, "counterexamples": []}]}',
     ),
-]
+    "classify-not-normalizable-oracle": (
+        ["classify", *DOUBLED_UNIT, "--oracle"],
+        '{"schema_version": 1, "command": "classify", '
+        '"vertices": [[0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 2]], "volume6": 8, '
+        '"clean": false, "empty": false, "canonical_form": null, "map": null, '
+        '"plane": null, "interior_points": null, '
+        '"oracle": {"empty": false, "clean": false, "agrees": true}}',
+    ),
+    "classify-unit": (
+        ["classify", *UNIT],
+        '{"schema_version": 1, "command": "classify", '
+        '"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], "volume6": 1, '
+        '"clean": true, "empty": true, "canonical_form": {"a": 0, "b": 0, "c": 1, "d": 0}, '
+        '"map": {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "translation": [0, 0, 0]}, '
+        '"plane": "c=1", "interior_points": [], "oracle": null}',
+    ),
+}
 
 
-@pytest.mark.parametrize("argv, expected", JSON_PAYLOADS, ids=[argv[0] for argv, _ in JSON_PAYLOADS])
+@pytest.mark.parametrize("argv, expected", JSON_PAYLOADS.values(), ids=JSON_PAYLOADS)
 def test_json_payload_bytes(run, argv, expected):
     code, out, _ = run(*argv, "--json")
     assert code == 0
@@ -71,6 +88,12 @@ def test_classify_not_normalizable(run):
     assert "clean: no" in lines
     assert "empty: no" in lines
     assert "canonical form: none (not normalizable)" in lines
+
+
+def test_classify_unit_has_no_interior_points(run):
+    code, out, _ = run("classify", *UNIT)
+    assert code == 0
+    assert out.splitlines()[-2:] == ["plane: c=1", "interior points (canonical coordinates): none"]
 
 
 def test_classify_oracle_agreement(run):
@@ -104,6 +127,14 @@ def test_classify_from_file(run, tmp_path):
     code, out, _ = run("classify", "--file", str(path))
     assert code == 0
     assert "canonical form: a=1 b=1 c=5 d=4" in out.splitlines()
+
+
+def test_file_with_a_byte_order_mark(run, tmp_path):
+    # a UTF-8 file that starts with a byte-order mark reads like one without
+    path = tmp_path / "tet.txt"
+    path.write_text("\ufeff0 0 0\r\n1 0 0\r\n0 1 0\r\n1 1 5\r\n", encoding="utf-8")
+    for command in ("classify", "normalize"):
+        assert run(command, "--file", str(path)) == run(command, *T115)
 
 
 def test_classify_file_and_inline_conflict(run, tmp_path):

@@ -22,9 +22,11 @@ from emptytet.geometry import (
     standard_tetrahedron,
     volume6,
 )
-from emptytet.intlin import ZERO, add, cross, det3, dot
+from emptytet.intlin import ZERO, det3, dot
 from emptytet.verify import random_unimodular_map
 from emptytet.white import _floor_steps
+
+from reference import cross
 
 UNIT = Tetrahedron((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
 LOCATE_CASES = [
@@ -216,7 +218,7 @@ def plane_region(u, v, far_sides):
     sv, tu = cross(v, n), cross(n, u)
     forms = [(n, 0), (tuple(-x for x in n), 0), (sv, 0), (tu, 0)]
     forms += [(tuple(-i * a - j * b for a, b in zip(sv, tu)), dot(n, n)) for i, j in far_sides]
-    corners = (ZERO, u, v) if len(far_sides) == 1 else (ZERO, u, v, add(u, v))
+    corners = (ZERO, u, v) if len(far_sides) == 1 else (ZERO, u, v, tuple(a + b for a, b in zip(u, v)))
     return forms, corners
 
 

@@ -21,11 +21,9 @@ from emptytet.intlin import (
     AffineUnimodularMap,
     NotPrimitiveError,
     adjugate,
-    cross,
     dot,
     extend_to_basis,
     extended_gcd3,
-    transpose,
 )
 from emptytet.normalize import (
     IDENTITY_ROLES,
@@ -37,6 +35,8 @@ from emptytet.normalize import (
 )
 from emptytet.verify import random_unimodular_map
 from emptytet.white import CanonicalForm, clean_forms, empty_forms, is_clean_form
+
+from reference import cross
 
 DOUBLED_UNIT = Tetrahedron((0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2))
 
@@ -116,7 +116,7 @@ def reference_map(t, roles):
     u, v = (tuple(p - q for p, q in zip(verts[r], origin)) for r in roles[1:3])
     w = extend_to_basis(u, v)
     shift = AffineUnimodularMap(IDENTITY, tuple(-x for x in origin))
-    lmap = AffineUnimodularMap(adjugate(transpose((u, v, w)))).compose(shift)
+    lmap = AffineUnimodularMap(adjugate(tuple(zip(u, v, w)))).compose(shift)
     if lmap(verts[roles[3]])[2] < 0:
         lmap = AffineUnimodularMap(((1, 0, 0), (0, 1, 0), (0, 0, -1))).compose(lmap)
     x, y, c = lmap(verts[roles[3]])
