@@ -54,17 +54,21 @@ def _int(token: str) -> int:
 
 
 def _check_json_ints(obj) -> None:
-    """Reject integers JSON consumers cannot hold exactly (|v| >= 2^53)."""
-    if isinstance(obj, bool):
-        return
-    if isinstance(obj, int):
-        if abs(obj) >= _JSON_INT_BOUND:
-            raise ValueError(f"integer {obj} does not fit the 2^53 JSON bound")
-    elif isinstance(obj, dict):
-        for value in obj.values():
-            _check_json_ints(value)
-    elif isinstance(obj, (list, tuple)):
-        for value in obj:
+    """Reject integers JSON consumers cannot hold exactly (|v| >= 2^53).
+
+    Walks the dicts, lists and tuples in obj, itself one of them, depth
+    first and tests their int and str leaves, nearly every leaf of a
+    payload, in the loop rather than by a call each.  A bool is skipped:
+    JSON writes it as true or false.
+    """
+    for value in obj.values() if isinstance(obj, dict) else obj:
+        kind = type(value)
+        if kind is str or kind is bool:
+            continue
+        if kind is int or isinstance(value, int):
+            if abs(value) >= _JSON_INT_BOUND:
+                raise ValueError(f"integer {value} does not fit the 2^53 JSON bound")
+        elif isinstance(value, (dict, list, tuple)):
             _check_json_ints(value)
 
 

@@ -5,15 +5,16 @@ floating point, and the only divisions are integer floor divisions in
 the oracle scans.  The *_bruteforce functions scan an integer
 bounding box and serve as ground truth for the fast number-theoretic
 criteria in `white`.  One scan core does all the scanning: `_rows` takes
-a polytope as affine forms that are >= 0 on it (the four faces of a
-tetrahedron, or the strict sides of a parallelepiped) and yields the
-z-interval each (x, y) row of the box has inside it, rather than visiting
-the box point by point: its cost is one pass over the corners and forms
-per call, one y-solve per x of the polytope's x-interval and one floor
-division per form per row.  The parallelepiped oracle reads those rows
-directly; the tetrahedron oracles read them through `_points_in`, which
-locates each point by the faces vanishing there and counts those only at
-the two ends of a row.
+a polytope as affine forms that are >= 0 on it and a box that holds it
+(a tetrahedron's four faces over its vertices' box, or a parallelepiped's
+strict x- and y-slabs over the integer box of its interior, which stands
+in for its z-slab) and yields the z-interval each (x, y) row of the box
+has inside it, rather than visiting the box point by point: its cost is
+one pass over the corners and forms per call, one y-solve per x of the
+polytope's x-interval and one floor division per form per row.  The
+parallelepiped oracle reads those rows directly; the tetrahedron oracles
+read them through `_points_in`, which locates each point by the faces
+vanishing there and counts those only at the two ends of a row.
 
 A tetrahedron is *empty* when its only lattice points are its four
 vertices, and *clean* when its boundary carries no lattice points besides
@@ -345,19 +346,21 @@ def parallelepiped_interior_bruteforce(a: int, b: int, c: int) -> list[Vec3]:
 
     p = (x, y, z) is interior iff its coefficients over the spanning
     vectors lie strictly between 0 and 1, i.e. 0 < z < c,
-    0 < x*c - z*a < c and 0 < y*c - z*b < c, passed to the scan core as
-    forms >= 1 over the box from 0 to (a + 1, b + 1, c).  The points are
-    read off its rows, with no count of vanishing forms.  Lexicographic
-    order.
+    0 < x*c - z*a < c and 0 < y*c - z*b < c.  The scan core gets the x-
+    and y-slabs as forms >= 1 and the z-slab as the box from (1, 1, 1) to
+    (a, b, c - 1), which holds every interior point: 0 < z < c gives
+    1 <= z <= c - 1, x*c > z*a >= 0 gives x >= 1, and
+    x*c < c + z*a < c*(a + 1) gives x <= a; likewise y.  At a = 0 or
+    c = 1 the box is still the corners' min to max, and the slabs leave
+    it without a point.  The points are read off its rows, with no count
+    of vanishing forms.  Lexicographic order.
     """
     CanonicalForm(a, b, c)  # validates types and ranges
     forms = (
-        ((0, 0, 1), -1),
-        ((0, 0, -1), c - 1),
         ((c, 0, -a), -1),
         ((-c, 0, a), c - 1),
         ((0, c, -b), -1),
         ((0, -c, b), c - 1),
     )
-    rows = _rows(forms, (ZERO, (a + 1, b + 1, c)))
+    rows = _rows(forms, ((1, 1, 1), (a, b, c - 1)))
     return [(x, y, z) for x, y, lo, hi in rows for z in range(lo, hi + 1)]

@@ -104,7 +104,7 @@ class VerificationReport:
 def _suites() -> dict:
     """Suite name -> (function, smallest c_max, largest c_max), in run order.
 
-    The largest c_max is a budget: a run at it took 0.6 s (white), 1.0 s
+    The largest c_max is a budget: a run at it took 0.6 s (white), 0.7 s
     (coplanar), 0.35 s (fn) and 0.35 s and 22 MB (normalize, 1000 trials;
     1.45 s and 24 MB at 7000) through `emptytet verify` on a 2-core VM with
     Python 3.11 (median of 5).  Built from the module globals on every

@@ -236,6 +236,15 @@ def test_classify_json_integer_bound(run):
     assert "volume6: 1" in out.splitlines()
 
 
+def test_classify_json_names_the_first_integer_past_the_bound(run):
+    # Two coordinates of the last vertex pass the bound, and so does
+    # volume6 = z; the error names the first of them in payload order.
+    x, z = -(2**53) - 7, 2**53 + 1
+    code, out, err = run("classify", "0", "0", "0", "1", "0", "0", "0", "1", "0", str(x), "1", str(z), "--json")
+    assert (code, out) == (2, "")
+    assert err == "error: integer -9007199254740999 does not fit the 2^53 JSON bound\n"
+
+
 def test_normalize_not_normalizable(run):
     code, _, err = run("normalize", *DOUBLED_UNIT)
     assert code == 2

@@ -203,11 +203,20 @@ def scan_kinds(forms, corners, walk):
 
 def parallelepiped_region(a, b, c):
     """Strict interior of the parallelepiped spanned by e1, e2, (a, b, c)
-    as forms >= 0: 0 < z < c, 0 < x*c - z*a < c, 0 < y*c - z*b < c."""
+    as forms >= 0: 0 < z < c, 0 < x*c - z*a < c, 0 < y*c - z*b < c, over
+    the box of its vertices."""
     forms = []
     for n in ((0, 0, 1), (c, 0, -a), (0, c, -b)):
         forms += [(n, -1), (tuple(-x for x in n), c - 1)]
     return forms, (ZERO, (a + 1, b + 1, c))
+
+
+def parallelepiped_slabs(a, b, c):
+    """The region the parallelepiped oracle scans: its x- and y-slabs as
+    forms >= 0 over the box (1, 1, 1) to (a, b, c - 1), which stands in
+    for the z-slab."""
+    forms, _ = parallelepiped_region(a, b, c)
+    return forms[2:], ((1, 1, 1), (a, b, c - 1))
 
 
 def plane_region(u, v, far_sides):
@@ -332,11 +341,11 @@ def test_oracles_refuse_boxes_past_the_scan_budget():
     for oracle in (lattice_points_in, is_empty_bruteforce, bruteforce_verdicts):
         with pytest.raises(ValueError, match="budget"):
             oracle(t)
-    # A box of 27M (301^3) points, counted from the corners' bounds.
+    # A box of 26.7M (299^3) points, counted from the corners' bounds.
     with pytest.raises(ValueError) as refused:
         parallelepiped_interior_bruteforce(299, 299, 300)
     assert str(refused.value) == (
-        "oracle scan exceeds its budget of 20000000 lattice points (bounding box of 27270901 points)"
+        "oracle scan exceeds its budget of 20000000 lattice points (bounding box of 26730899 points)"
     )
 
 
@@ -355,7 +364,7 @@ def test_scan_budget_edge(monkeypatch):
     t = Tetrahedron((0, 0, 0), (0, 2, 0), (0, 0, 3), (5, 1, 1))
     regions = [
         (_face_forms(t), t.vertices(), lambda: [p for p, _ in lattice_points_in(t)]),
-        (*parallelepiped_region(4, 3, 5), lambda: parallelepiped_interior_bruteforce(4, 3, 5)),
+        (*parallelepiped_slabs(4, 3, 5), lambda: parallelepiped_interior_bruteforce(4, 3, 5)),
     ]
     for forms, corners, oracle in regions:
         walk = scan_oracle(forms, corners)
@@ -429,6 +438,17 @@ def test_parallelepiped_points_match_scan():
                 if math.gcd(a, c) == 1 and math.gcd(b, c) == 1:
                     points = parallelepiped_interior_points(a, b, c)
                     assert sorted(points) == parallelepiped_interior_bruteforce(a, b, c), (a, b, c)
+
+
+def test_parallelepiped_oracle_matches_the_vertex_box_scan():
+    # The slabs over the interior's box against all six forms over the
+    # vertices' box, coprime or not, c = 1 and a = 0 included.
+    for c in range(1, 41):
+        for a in range(c):
+            for b in range(c):
+                rows = _rows(*parallelepiped_region(a, b, c))
+                want = [(x, y, z) for x, y, lo, hi in rows for z in range(lo, hi + 1)]
+                assert parallelepiped_interior_bruteforce(a, b, c) == want, (a, b, c)
 
 
 def reference_points(a, b, c):
