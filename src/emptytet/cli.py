@@ -5,8 +5,9 @@ is UTF-8 with LF line endings and is byte-stable for fixed inputs and
 flags; wall-clock timings therefore go to stderr as `#` comment lines.
 
 Exit codes: 0 success, 1 a verification counterexample or an oracle
-disagreement was found, 2 usage or input error, 141 (128 + SIGPIPE) the
-reader closed standard output early, e.g. `emptytet enumerate 99991 | head`.
+disagreement was found, or a failed `normalize --check`, 2 usage or input
+error, 141 (128 + SIGPIPE) the reader closed standard output early, e.g.
+`emptytet enumerate 99991 | head`.
 """
 
 import argparse
@@ -376,10 +377,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if exc.code is None:
-            return 0
-        return exc.code if isinstance(exc.code, int) else 2
+    except SystemExit as exc:  # argparse exits 0 for --help, 2 on a usage error
+        return exc.code
     try:
         code = args.func(args)
         sys.stdout.flush()

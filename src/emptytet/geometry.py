@@ -1,8 +1,9 @@
 """Lattice tetrahedra, exact point location, and brute-force lattice-point oracles.
 
 Every predicate is decided by signs of integer determinants; there is no
-floating point, and the only divisions are integer floor divisions in
-the oracle scans.  The *_bruteforce functions scan an integer
+floating point, and the only divisions are integer floor divisions, in
+the oracle scans and in the parallelepiped's interior points by their
+closed form.  The *_bruteforce functions scan an integer
 bounding box and serve as ground truth for the fast number-theoretic
 criteria in `white`.  One scan core does all the scanning: `_rows` takes
 a polytope as affine forms that are >= 0 on it and a box that holds it
@@ -308,14 +309,12 @@ def parallelepiped_interior_points(a: int, b: int, c: int) -> list[Vec3]:
 
     Point k (k = 1..c-1) is <k(c-a)/c> e1 + <k(c-b)/c> e2 + (k/c)(a, b, c)
     where <.> is the fractional part, that is (1 + floor(k*a/c),
-    1 + floor(k*b/c), k).  Requires gcd(a, c) = gcd(b, c) = 1; otherwise
-    some of these points would degenerate onto the boundary.  A walk keeps
-    ra = k*a mod c with k*a = (x - 1)*c + ra: each step adds a to ra and,
-    as a < c, at most once subtracts c and adds 1 to x; likewise rb and y.
-    As x*c - k*a = c - ra, the point is strictly inside iff ra and rb are
-    nonzero, which is asserted per point.  Cost: one add and one compare
-    per coordinate per point, no division.  Raises ValueError for
-    c > white._MAX_ENUMERATE_C, the budget of both O(c) listings.
+    1 + floor(k*b/c), k), which is how it is listed: two floor divisions
+    per point.  Requires gcd(a, c) = gcd(b, c) = 1, so that k*a and k*b
+    are not multiples of c for 0 < k < c and every point is strictly
+    inside; otherwise some of them would degenerate onto the boundary.
+    Raises ValueError for c > white._MAX_ENUMERATE_C, the budget of both
+    O(c) listings.
     """
     CanonicalForm(a, b, c)  # validates types and ranges
     if c > _MAX_ENUMERATE_C:
@@ -324,21 +323,7 @@ def parallelepiped_interior_points(a: int, b: int, c: int) -> list[Vec3]:
         raise ValueError(
             f"need gcd(a, c) = gcd(b, c) = 1, got a={a}, b={b}, c={c}"
         )
-    points = []
-    x = y = 1
-    ra = rb = 0
-    for k in range(1, c):
-        ra += a
-        if ra >= c:
-            ra -= c
-            x += 1
-        rb += b
-        if rb >= c:
-            rb -= c
-            y += 1
-        assert ra and rb, (a, b, c, k)
-        points.append((x, y, k))
-    return points
+    return [(1 + k * a // c, 1 + k * b // c, k) for k in range(1, c)]
 
 
 def parallelepiped_interior_bruteforce(a: int, b: int, c: int) -> list[Vec3]:

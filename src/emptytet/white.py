@@ -80,7 +80,8 @@ def satisfies_fraction_system(form: CanonicalForm) -> bool:
     Checks <k*a/c> + <k*b/c> + <k*d/c> - k/c == 1 for every k = 1..c-1
     as c times itself: the numerator of <k*n/c> is k*n % c.  The per-k
     modulo is kept on purpose: as an independent reference it shares no
-    remainder walk with satisfies_step_system or the interior points.
+    remainder walk with satisfies_step_system and no floor quotient with
+    the interior points' closed form.
     """
     _require_clean_with_height(form)
     a, b, c, d = form.a, form.b, form.c, form.d
@@ -189,9 +190,10 @@ def clean_forms(c: int) -> list[CanonicalForm]:
 
 
 # Largest c that empty_forms and geometry.parallelepiped_interior_points
-# list.  At the prime 99991 (299970 forms) `emptytet enumerate` took 1.9-2.2 s
-# and 78 MB with --csv, 2.1-2.6 s and 141 MB (the peak) with --json on a 2-core
-# VM with Python 3.11; past it a listing refuses rather than filling memory.
+# list.  At the prime 99991 (299970 forms) `emptytet enumerate` took 1.6 s
+# wall and 78 MB peak RSS with --csv, 1.6 s and 141 MB with --json (median
+# of 5 on a 2-core VM with Python 3.11); past it a listing refuses rather
+# than filling memory.
 _MAX_ENUMERATE_C = 100_000
 
 

@@ -251,6 +251,26 @@ def test_normalize_not_normalizable(run):
     assert "not normalizable" in err
 
 
+def test_normalize_check_failure_exits_one(run, monkeypatch):
+    # A witness map off by a translation: --check refuses it with exit 1
+    # and nothing on stdout; without --check its JSON is printed as is.
+    from emptytet.intlin import AffineUnimodularMap
+    from emptytet.normalize import NormalizationResult
+    from emptytet.white import CanonicalForm
+
+    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    planted = NormalizationResult(AffineUnimodularMap(identity, (1, 0, 0)), CanonicalForm(1, 1, 5))
+    monkeypatch.setattr("emptytet.cli.canonicalize", lambda t: planted)
+    code, out, err = run("normalize", *T115, "--check")
+    assert (code, out) == (1, "")
+    assert err == "check failed: map sends vertices to [(1, 0, 0), (1, 1, 0), (2, 0, 0), (2, 1, 5)]\n"
+    code, out, err = run("normalize", *T115)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["map"] == {"matrix": [list(row) for row in identity], "translation": [1, 0, 0]}
+    assert payload["image"] == [[1, 0, 0], [2, 0, 0], [1, 1, 0], [2, 1, 5]]
+
+
 def test_enumerate_csv(run):
     code, out, _ = run("enumerate", "3", "--csv")
     assert code == 0

@@ -470,13 +470,15 @@ def test_parallelepiped_points_match_reference():
         for a in units:
             for b in units:
                 assert parallelepiped_interior_points(a, b, c) == reference_points(a, b, c), (a, b, c)
-    # Long walks: the remainders wrap on every step after the first at
-    # (c - 1, c - 1) and never at (1, 1), and a unit near c/3 wraps about
-    # every third step.
+    # Long listings: x and y step up at every k after the first at
+    # (c - 1, c - 1) and never at (1, 1), and a unit near c/3 steps about
+    # every third k; c = 100000 is the budget edge.
+    large = [(1, 1, 100_000), (99_999, 99_999, 100_000)]
     for c in (1009, 65537, 99991):
         third = next(k for k in range(c // 3, c) if math.gcd(k, c) == 1)
-        for a, b in ((1, 1), (1, c - 1), (c - 1, c - 1), (2, c - 2), (third, third)):
-            assert parallelepiped_interior_points(a, b, c) == reference_points(a, b, c), (a, b, c)
+        large += [(a, b, c) for a, b in ((1, 1), (1, c - 1), (c - 1, c - 1), (2, c - 2), (third, third))]
+    for a, b, c in large:
+        assert parallelepiped_interior_points(a, b, c) == reference_points(a, b, c), (a, b, c)
 
 
 def test_parallelepiped_points_x_is_staircase_partial_sums():
@@ -498,3 +500,5 @@ def test_parallelepiped_points_errors():
         parallelepiped_interior_points(3, 1, 2)  # a out of range
     with pytest.raises(ValueError):
         parallelepiped_interior_points(0, 0, 0)  # c < 1
+    with pytest.raises(ValueError, match="budget of c <= 100000"):
+        parallelepiped_interior_points(1, 1, 100_001)  # one past the budget
