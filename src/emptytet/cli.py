@@ -49,7 +49,7 @@ def _int(token: str) -> int:
     try:
         return int(token)
     except ValueError:
-        if re.fullmatch(_INT_TOKEN, token):
+        if re.fullmatch(_INT_TOKEN, token.strip()):
             raise argparse.ArgumentTypeError(_int_limit_message()) from None
         raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
 

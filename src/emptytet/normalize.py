@@ -107,7 +107,8 @@ def normalize(t: Tetrahedron, roles: RoleAssignment = IDENTITY_ROLES) -> Normali
         ((k_x + a * k_l) // c, (k_y + b * k_l) // c, k_l),
     )
     image = set(map(lmap, t))
-    assert image == {ZERO, E1, E2, (a, b, c)}, (t, roles, image)
+    if image != {ZERO, E1, E2, (a, b, c)}:
+        raise AssertionError((t, roles, image))
     return NormalizationResult(lmap, CanonicalForm(a, b, c))
 
 

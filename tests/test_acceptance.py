@@ -17,8 +17,13 @@ replace test_geometry's `test_empty_implies_clean` (c <= 8); criterion 1
 replaces test_verify's `test_verify_white_small` and
 `test_verify_white_deterministic`; criterion 6, on the rows that
 test_white's `test_floor_steps_row_matches_floor_step` checks against
-`floor_step`, replaces `test_support_size_by_telescoping` and
-`test_complement_identity` (c <= 60).
+`floor_step`, replaces `test_support_size_by_telescoping`,
+`test_complement_identity`, `test_support_closed_form_and_size` (c <= 60)
+and `test_floor_step_unit_slope_is_zero`; criterion 7 replaces
+test_normalize's `test_random_round_trips` (c <= 8).  Wider tier-1 tests
+replace test_white's `test_floor_step_zero_or_one`
+(`test_floor_steps_row_matches_floor_step`) and `test_units_match_gcd`
+(`test_clean_forms_match_the_gcd_filter`, `test_empty_form_at_matches_listing`).
 """
 
 import math

@@ -193,13 +193,16 @@ def test_file_integer_past_the_int_string_limit(run, tmp_path):
     ids=["enumerate-c", "points-c", "classify-coordinate", "verify-max-c"],
 )
 def test_integer_argument_past_the_int_string_limit(run, argv):
-    # one line names the limit; the token's digits are not echoed back
+    # one line names the limit; the token's digits are not echoed back,
+    # also when int() strips the whitespace around them
     limit = sys.get_int_max_str_digits()
-    code, out, err = run(*argv, "7" * (limit + 700))
-    assert code == 2
-    assert out == ""
-    assert len(err.encode()) < 300
-    assert err.endswith(f"integer longer than Python's int-string limit of {limit} digits\n")
+    digits = "7" * (limit + 700)
+    for token in (digits, " " + digits, digits + " ", "\t" + digits):
+        code, out, err = run(*argv, token)
+        assert code == 2
+        assert out == ""
+        assert len(err.encode()) < 300, repr(token[:2])
+        assert err.endswith(f"integer longer than Python's int-string limit of {limit} digits\n")
 
 
 def test_integer_argument_not_an_integer(run):

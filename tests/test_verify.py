@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,7 +6,7 @@ import pytest
 
 from emptytet import verify, white
 from emptytet.geometry import parallelepiped_interior_bruteforce, standard_tetrahedron
-from emptytet.intlin import det3
+from emptytet.intlin import AffineUnimodularMap, det3
 from emptytet.verify import (
     _MAX_TRIALS,
     VerificationReport,
@@ -111,6 +112,26 @@ def test_fn_planted_counterexample(monkeypatch):
         "support_size: n=3, c=7: |support| = 3",
         "support_closed_form: n=4, c=7: [3, 5] vs [1, 3, 5]",
         "support_size: n=4, c=7: |support| = 2",
+    ]
+
+
+def test_normalize_planted_counterexample(monkeypatch):
+    # trial 1's witness map is off by the translation e1: the form, its
+    # volume and its cleanness still hold, the map's image does not
+    canonicalize, trials = verify.canonicalize, itertools.count()
+
+    def off_by_e1(t):
+        result = canonicalize(t)
+        matrix, (x, y, z) = result.map
+        return result._replace(map=AffineUnimodularMap(matrix, (x + (next(trials) == 1), y, z)))
+
+    monkeypatch.setattr(verify, "canonicalize", off_by_e1)
+    report = verify_normalization(trials=3, seed=0, c_max=5)
+    assert [(name, tally.failed) for name, tally in report.tallies.items() if tally.failed] == [
+        ("witness_map_sound", 1)
+    ]
+    assert report.counterexamples == [
+        "witness_map_sound: trial 1: T(3,1,4): {(1, 0, 0), (1, 1, 0), (2, 1, 4), (2, 0, 0)}"
     ]
 
 

@@ -161,32 +161,10 @@ def test_floor_steps_edge_rows():
         assert _floor_steps(c - 1, c) == [1] * (c - 2)  # n = c - 1: every step is 1
 
 
-def test_floor_step_zero_or_one():
-    for c in range(3, 41):
-        for n in coprime_range(c):
-            for k in range(1, c - 1):
-                assert floor_step(n, c, k) in (0, 1)
-
-
-def test_floor_step_unit_slope_is_zero():
-    for c in range(2, 101):
-        assert floor_step_support(1, c) == set()
-
-
 def test_floor_step_support_frozen():
     assert floor_step_support(2, 5) == {2}
     assert floor_step_support(3, 7) == {2, 4}
     assert floor_step_support(1, 9) == set()
-
-
-def test_support_closed_form_and_size():
-    for c in range(3, 61):
-        for n in coprime_range(c):
-            if n == 1:
-                continue
-            support = floor_step_support(n, c)
-            assert support == {k * c // n for k in range(1, n)}, (n, c)
-            assert len(support) == n - 1, (n, c)
 
 
 def test_satisfied_clause():
@@ -218,12 +196,6 @@ def test_clean_forms_match_the_gcd_filter():
         assert clean_forms(c) == [f for f in every if is_clean_form(f)], c
     with pytest.raises(ValueError, match="c must be >= 1"):
         clean_forms(0)
-
-
-def test_units_match_gcd():
-    assert _units(1) == [0]
-    for c in range(1, 201):
-        assert _units(c) == [k for k in range(c) if math.gcd(k, c) == 1], c
 
 
 def test_empty_form_at_matches_listing():
