@@ -12,7 +12,6 @@ error, 141 (128 + SIGPIPE) the reader closed standard output early, e.g.
 
 import argparse
 import os
-import re
 import sys
 
 from .geometry import (
@@ -33,25 +32,21 @@ _JSON_INT_BOUND = 2**53
 # Python's default int-string limit, fit in about 52 KB.
 _MAX_FILE_CHARS = 65_536
 
-# An integer token as int() reads it; one that int() still refuses is past
-# Python's int-string limit (sys.get_int_max_str_digits()).  Compiled, and
-# cached by re, only when a token is refused.
-_INT_TOKEN = r"[+-]?\d+(_\d+)*"
-
-
-def _int_limit_message() -> str:
-    return f"integer longer than Python's int-string limit of {sys.get_int_max_str_digits()} digits"
-
 
 def _int(token: str) -> int:
-    """The type of every integer argument: a token past the int-string
-    limit is refused by naming the limit, not by echoing its digits."""
+    """The type of every integer argument, inline or in a --file.
+
+    int() alone decides.  A refusal shows at most 12 characters of the
+    token and its length, so that with verify's usage line, the longest,
+    stderr stays under 300 bytes however long the token is.
+    """
     try:
         return int(token)
     except ValueError:
-        if re.fullmatch(_INT_TOKEN, token.strip()):
-            raise argparse.ArgumentTypeError(_int_limit_message()) from None
-        raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
+        limit = sys.get_int_max_str_digits()
+        raise argparse.ArgumentTypeError(
+            f"not an integer of at most {limit} digits: {token[:12]!r} ({len(token)} characters)"
+        ) from None
 
 
 def _check_json_ints(obj) -> None:
@@ -112,13 +107,10 @@ def _read_tetrahedron(args) -> Tetrahedron:
             text = fh.read(_MAX_FILE_CHARS + 1)
         if len(text) > _MAX_FILE_CHARS:
             raise ValueError(f"--file {args.file} exceeds its bound of {_MAX_FILE_CHARS} characters")
-        tokens = text.split()
         try:
-            values = [int(tok) for tok in tokens]
-        except ValueError:
-            if all(re.fullmatch(_INT_TOKEN, tok) for tok in tokens):
-                raise ValueError(f"--file {args.file} holds an {_int_limit_message()}")
-            raise ValueError(f"--file {args.file} must contain whitespace-separated integers")
+            values = [_int(tok) for tok in text.split()]
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"--file {args.file}: {exc}") from None
     else:
         values = args.coords
     if len(values) != 12:

@@ -145,12 +145,23 @@ def test_classify_file_and_inline_conflict(run, tmp_path):
     assert "not both" in err
 
 
+def refusal(token):
+    """The line _int ends every refused integer token with."""
+    limit = sys.get_int_max_str_digits()
+    return f"not an integer of at most {limit} digits: {token[:12]!r} ({len(token)} characters)\n"
+
+
 def test_classify_file_not_integers(run, tmp_path):
+    # the first token int() refuses is named by its first 12 characters and
+    # its length, however long it is
     path = tmp_path / "tet.txt"
-    path.write_text("0 0 0 one 0 0 0 1 0 1 1 5", encoding="utf-8")
-    code, _, err = run("classify", "--file", str(path))
-    assert code == 2
-    assert "whitespace-separated integers" in err
+    for bad in ("one", "x" * 5000):
+        path.write_text(f"0 0 0 {bad} 0 0 0 1 0 1 1 5", encoding="utf-8")
+        for command in ("classify", "normalize"):
+            code, out, err = run(command, "--file", str(path))
+            assert code == 2
+            assert out == ""
+            assert err == f"error: --file {path}: " + refusal(bad)
 
 
 def test_file_read_is_bounded(run, tmp_path):
@@ -173,18 +184,15 @@ def test_file_read_is_bounded(run, tmp_path):
 
 
 def test_file_integer_past_the_int_string_limit(run, tmp_path):
-    # every token is an integer, so the refusal names the limit, not the syntax
-    limit = sys.get_int_max_str_digits()
+    # the refusal names the limit and the token's length, not its digits
+    digits = "7" * (sys.get_int_max_str_digits() + 700)
     path = tmp_path / "tet.txt"
-    path.write_text(" ".join(T115[:11] + ["7" * (limit + 700)]), encoding="utf-8")
+    path.write_text(" ".join(T115[:11] + [digits]), encoding="utf-8")
     for command in ("classify", "normalize"):
         code, out, err = run(command, "--file", str(path))
         assert code == 2
         assert out == ""
-        assert err == (
-            f"error: --file {path} holds an integer longer than Python's "
-            f"int-string limit of {limit} digits\n"
-        )
+        assert err == f"error: --file {path}: " + refusal(digits)
 
 
 @pytest.mark.parametrize(
@@ -193,16 +201,15 @@ def test_file_integer_past_the_int_string_limit(run, tmp_path):
     ids=["enumerate-c", "points-c", "classify-coordinate", "verify-max-c"],
 )
 def test_integer_argument_past_the_int_string_limit(run, argv):
-    # one line names the limit; the token's digits are not echoed back,
-    # also when int() strips the whitespace around them
-    limit = sys.get_int_max_str_digits()
-    digits = "7" * (limit + 700)
-    for token in (digits, " " + digits, digits + " ", "\t" + digits):
+    # one line names the limit; the token is not echoed back, whether
+    # int() would read it under a higher limit or not at all
+    digits = "7" * (sys.get_int_max_str_digits() + 700)
+    for token in (digits, " " + digits, digits + " ", "\t" + digits, "7" * 5000 + "x", "x" * 5000):
         code, out, err = run(*argv, token)
         assert code == 2
         assert out == ""
         assert len(err.encode()) < 300, repr(token[:2])
-        assert err.endswith(f"integer longer than Python's int-string limit of {limit} digits\n")
+        assert err.endswith(refusal(token)), repr(token[:2])
 
 
 def test_integer_argument_not_an_integer(run):
@@ -211,7 +218,7 @@ def test_integer_argument_not_an_integer(run):
     assert out == ""
     assert err == (
         "usage: emptytet classify [-h] [--file FILE] [--json] [--oracle] [N ...]\n"
-        "emptytet classify: error: argument N: invalid int value: '1.5'\n"
+        "emptytet classify: error: argument N: " + refusal("1.5")
     )
 
 

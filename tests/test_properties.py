@@ -2,8 +2,9 @@
 the invariance of the verdicts under random unimodular maps.
 
 Whatever the argv, main returns 0, 1 or 2 without letting an exception
-escape, and an exit 2 that argparse did not produce explains itself with
-an `error: ` line on stderr.  Whatever the map, the image of T(a, b, c)
+escape, every stderr line is under 300 bytes, also when an integer
+argument is thousands of characters long, and an exit 2 that argparse did
+not produce explains itself with an `error: ` line on stderr.  Whatever the map, the image of T(a, b, c)
 is normalizable exactly when T is, with the same canonical form and the
 same oracle verdicts.
 """
@@ -26,6 +27,10 @@ from emptytet.white import _MAX_ENUMERATE_C  # noqa: E402
 
 # Flags that are bogus everywhere, or that some subcommands reject.
 BOGUS_FLAGS = ["--bogus", "-q", "--max-c", "--csv", "--oracle", "--check", "--json"]
+
+# Over-long tokens for an integer argument: past the int-string limit, or
+# not an integer at all.
+LONG_TOKENS = ["7" * 5000, "7" * 5000 + "x", "x" * 5000]
 
 ints = st.integers
 
@@ -90,6 +95,9 @@ def cli_argv(draw):
         )
     )
     if draw(ints(0, 3)) == 0:
+        numeric = [i for i, token in enumerate(argv) if token.lstrip("-").isdigit()]
+        argv[draw(st.sampled_from(numeric))] = draw(st.sampled_from(LONG_TOKENS))
+    if draw(ints(0, 3)) == 0:
         argv.append(draw(st.sampled_from(BOGUS_FLAGS)))
     return argv
 
@@ -102,6 +110,7 @@ def test_main_exits_cleanly(argv):
         code = main(argv)
     assert code in (0, 1, 2), (argv, code)
     stderr = err.getvalue()
+    assert all(len(line.encode()) < 300 for line in stderr.splitlines()), (argv, stderr[:300])
     if code == 2 and not stderr.startswith("usage: "):
         assert stderr.splitlines()[-1].startswith("error: "), (argv, stderr)
 
