@@ -21,7 +21,7 @@ from .geometry import (
     volume6,
 )
 from .normalize import NotNormalizableError, canonicalize
-from .verify import _check_c_max, _check_trials, _suites
+from .verify import _check, _suites
 from .white import empty_forms, is_clean_form, satisfied_clause, white_empty
 
 SCHEMA_VERSION = 1
@@ -103,13 +103,13 @@ def _read_tetrahedron(args) -> Tetrahedron:
     if args.file is not None:
         if args.coords:
             raise ValueError("give coordinates either inline or via --file, not both")
-        with open(args.file, encoding="utf-8-sig") as fh:
-            text = fh.read(_MAX_FILE_CHARS + 1)
-        if len(text) > _MAX_FILE_CHARS:
-            raise ValueError(f"--file {args.file} exceeds its bound of {_MAX_FILE_CHARS} characters")
         try:
+            with open(args.file, encoding="utf-8-sig") as fh:
+                text = fh.read(_MAX_FILE_CHARS + 1)
+            if len(text) > _MAX_FILE_CHARS:
+                raise ValueError(f"--file {args.file} exceeds its bound of {_MAX_FILE_CHARS} characters")
             values = [_int(tok) for tok in text.split()]
-        except argparse.ArgumentTypeError as exc:
+        except (UnicodeDecodeError, argparse.ArgumentTypeError) as exc:
             raise ValueError(f"--file {args.file}: {exc}") from None
     else:
         values = args.coords
@@ -226,24 +226,29 @@ def _cmd_points(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    suites = {name: run for name, (run, _, _) in _suites().items() if not args.suite or name in args.suite}
-    # Only the normalize suite takes --trials and --seed.
-    given = {"trials": args.trials, "seed": args.seed}
-    extra = {key: value for key, value in given.items() if value is not None}
-    if extra and "normalize" not in suites:
-        what = " and ".join(f"--{key}" for key in extra)
-        raise ValueError(f"{what} would be ignored: the normalize suite is not selected")
-    if args.trials is not None:
-        _check_trials(args.trials)
+    table = _suites()
+    for name in args.suite or ():
+        if name not in table:
+            raise ValueError(f"--suite takes one of {', '.join(table)}, not {name[:12]!r} ({len(name)} characters)")
+    given = {"trials": args.trials, "seed": args.seed, "c_max": args.max_c}
+    given = {key: value for key, value in given.items() if value is not None}
+    runs = {
+        name: (run, {key: given[key] for key in ranges if key in given})
+        for name, (run, ranges) in table.items() if not args.suite or name in args.suite
+    }
+    # Every suite takes c_max, so only --trials and --seed can be ignored.
+    ignored = [key for key in given if all(key not in arguments for _, arguments in runs.values())]
+    if ignored:
+        what = " and ".join(f"--{key}" for key in ignored)
+        takers = " or ".join(name for name, (_, ranges) in table.items() if any(key in ranges for key in ignored))
+        raise ValueError(f"{what} would be ignored: the {takers} suite is not selected")
+    for name, (_, arguments) in runs.items():
+        _check(name, **arguments)
     if args.json:
-        _check_json_ints(extra)
-    c_max = {} if args.max_c is None else {"c_max": args.max_c}
-    if args.max_c is not None:
-        for name in suites:
-            _check_c_max(name, args.max_c)
+        _check_json_ints(given)
     reports = []
-    for name, run in suites.items():
-        report = run(**c_max, **(extra if name == "normalize" else {}))
+    for name, (run, arguments) in runs.items():
+        report = run(**arguments)
         reports.append(report)
         print(f"# suite {name}: {report.duration_seconds:.2f}s", file=sys.stderr)
     ok = all(report.ok for report in reports)
@@ -353,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite",
         action="append",
-        choices=suites,
+        metavar="{" + ",".join(suites) + "}",
         help="suite to run (repeatable; default: all)",
     )
     p.add_argument("--max-c", type=_int, help="largest c to sweep")

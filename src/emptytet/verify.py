@@ -34,11 +34,6 @@ from .white import (
 
 _MAX_COUNTEREXAMPLES = 50
 
-# The normalize suite's largest trial count: 7000 trials at the default
-# c_max took 1.0 s through `emptytet verify` on a 2-core VM with Python
-# 3.11 (median of 5; about 0.13 ms a trial).
-_MAX_TRIALS = 7000
-
 
 class Tally:
     def __init__(self) -> None:
@@ -102,42 +97,49 @@ class VerificationReport:
 
 
 def _suites() -> dict:
-    """Suite name -> (function, smallest c_max, largest c_max), in run order.
+    """Suite name -> (function, {argument: (smallest, largest), or None
+    for no range}), in run order, each suite's arguments in the order its
+    report's params list them.
 
-    The largest c_max is a budget: a run at it took 0.6 s (white), 0.7 s
-    (coplanar), 0.35 s (fn) and 0.35 s and 22 MB (normalize, 1000 trials;
-    1.45 s and 24 MB at 7000) through `emptytet verify` on a 2-core VM with
-    Python 3.11 (median of 5).  Built from the module globals on every
-    call, so a function replaced there is the one that runs.
+    Each largest value is a budget.  Through `emptytet verify` on a 2-core
+    VM with Python 3.11 (median of 5), the largest c_max took 0.6 s
+    (white), 0.7 s (coplanar), 0.35 s (fn) and 0.35 s and 22 MB (normalize,
+    1000 trials); 7000 trials took 1.0 s at the default c_max and 1.45 s
+    and 24 MB at c_max 1000.  Built from the module globals on every call,
+    so a function replaced there is the one that runs.
     """
     return {
-        "white": (verify_white, 1, 35),
-        "coplanar": (verify_coplanarity, 2, 48),
-        "fn": (verify_floor_steps, 3, 200),
-        "normalize": (verify_normalization, 1, 1000),
+        "white": (verify_white, {"c_max": (1, 35)}),
+        "coplanar": (verify_coplanarity, {"c_max": (2, 48)}),
+        "fn": (verify_floor_steps, {"c_max": (3, 200)}),
+        "normalize": (verify_normalization, {"trials": (1, 7000), "seed": None, "c_max": (1, 1000)}),
     }
 
 
-def _check_c_max(suite: str, c_max: int) -> None:
-    """Refuse a c_max outside the suite's range; the CLI calls this for
-    every selected suite before any of them runs."""
-    _, low, high = _suites()[suite]
-    if c_max < low:
-        raise ValueError(f"the {suite} suite needs c_max >= {low}, got c_max = {c_max}")
-    if c_max > high:
-        raise ValueError(f"the {suite} suite exceeds its budget of c_max <= {high}, got c_max = {c_max}")
+def _check(suite: str, **arguments) -> None:
+    """Refuse an argument outside the suite's range for it; the CLI calls
+    this for every selected suite before any of them runs."""
+    ranges = _suites()[suite][1]
+    for name, value in arguments.items():
+        if ranges[name] is None:
+            continue
+        low, high = ranges[name]
+        if value < low:
+            raise ValueError(f"the {suite} suite needs {name} >= {low}, got {name} = {value}")
+        if value > high:
+            raise ValueError(f"the {suite} suite exceeds its budget of {name} <= {high}, got {name} = {value}")
 
 
-def _start(suite: str, c_max: int, **params) -> VerificationReport:
-    """The suite's empty report, once c_max is within the suite's range."""
-    _check_c_max(suite, c_max)
-    return VerificationReport(suite, {**params, "c_max": c_max})
+def _start(suite: str, **arguments) -> VerificationReport:
+    """The suite's empty report, once every argument is within its range."""
+    _check(suite, **arguments)
+    return VerificationReport(suite, arguments)
 
 
 def verify_white(c_max: int = 25) -> VerificationReport:
     """Compare White's criterion and the gcd clean test against the oracle
     for every form with c <= c_max."""
-    report = _start("white", c_max)
+    report = _start("white", c_max=c_max)
     for c in range(1, c_max + 1):
         for a in range(c):
             for b in range(c):
@@ -165,7 +167,7 @@ def verify_coplanarity(c_max: int = 25) -> VerificationReport:
     must find exactly c - 1 points, the generator must list the same
     points, and for empty forms each unit-parameter clause pins the
     scanned points to its plane."""
-    report = _start("coplanar", c_max)
+    report = _start("coplanar", c_max=c_max)
     for c in range(1, c_max + 1):
         for form in clean_forms(c):
             a, b = form.a, form.b
@@ -200,7 +202,7 @@ def verify_floor_steps(c_max: int = 100) -> VerificationReport:
     """Staircase-increment properties for every coprime 0 < n < c <= c_max:
     slope 1/c has empty support, larger slopes have the closed-form support
     of size n - 1, and complementary slopes have complementary steps."""
-    report = _start("fn", c_max)
+    report = _start("fn", c_max=c_max)
     for c in range(2, c_max + 1):
         rows = {n: _floor_steps(n, c) for n in _units(c)}
         for n, row in rows.items():
@@ -255,15 +257,6 @@ def random_unimodular_map(
     return AffineUnimodularMap(tuple(rows), translation)
 
 
-def _check_trials(trials: int) -> None:
-    """Refuse a trial count outside 1.._MAX_TRIALS; the CLI calls this
-    before any suite runs, so a bad --trials costs no other suite's time."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if trials > _MAX_TRIALS:
-        raise ValueError(f"the normalize suite exceeds its budget of trials <= {_MAX_TRIALS}, got trials = {trials}")
-
-
 def verify_normalization(
     trials: int = 1000, seed: int = 0, c_max: int = 10
 ) -> VerificationReport:
@@ -272,8 +265,7 @@ def verify_normalization(
     witness-map soundness and the clean gcd conclusion."""
     import random  # only this suite draws; the rest of the CLI never loads it
 
-    _check_trials(trials)
-    report = _start("normalize", c_max, trials=trials, seed=seed)
+    report = _start("normalize", trials=trials, seed=seed, c_max=c_max)
     rng = random.Random(seed)
     # The empty forms with c <= c_max, listed by c and then as empty_forms
     # lists them, are drawn by index without being listed: units[c - 1] is

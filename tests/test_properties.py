@@ -3,8 +3,9 @@ the invariance of the verdicts under random unimodular maps.
 
 Whatever the argv, main returns 0, 1 or 2 without letting an exception
 escape, every stderr line is under 300 bytes, also when an integer
-argument is thousands of characters long, and an exit 2 that argparse did
-not produce explains itself with an `error: ` line on stderr.  Whatever the map, the image of T(a, b, c)
+argument or a `verify --suite` name is thousands of characters long, and
+an exit 2 that argparse did not produce explains itself with an `error: `
+line on stderr.  Whatever the map, the image of T(a, b, c)
 is normalizable exactly when T is, with the same canonical form and the
 same oracle verdicts.
 """
@@ -22,7 +23,7 @@ st = hypothesis.strategies
 from emptytet.cli import main  # noqa: E402
 from emptytet.geometry import Tetrahedron, bruteforce_verdicts, standard_tetrahedron  # noqa: E402
 from emptytet.normalize import NotNormalizableError, canonical_form  # noqa: E402
-from emptytet.verify import _MAX_TRIALS, _suites, random_unimodular_map  # noqa: E402
+from emptytet.verify import _suites, random_unimodular_map  # noqa: E402
 from emptytet.white import _MAX_ENUMERATE_C  # noqa: E402
 
 # Flags that are bogus everywhere, or that some subcommands reject.
@@ -66,16 +67,21 @@ def points_argv(draw):
 
 @st.composite
 def verify_argv(draw):
-    table = _suites()
+    table = {name: ranges for name, (_, ranges) in _suites().items()}
     suites = draw(st.lists(st.sampled_from(list(table)), max_size=2))
-    # Past the smallest budget of the suites drawn, the CLI refuses before
-    # any suite runs.
-    budget = min(table[suite][2] for suite in suites or table)
-    argv = ["verify", "--max-c", str(draw(st.one_of(ints(-1, 4), ints(budget + 1, 10**30))))]
+    # A c_max near the suites' smallest ones runs fast or is refused; past
+    # the smallest budget of the suites drawn, the CLI refuses before any
+    # suite runs.
+    lows, highs = zip(*(table[suite]["c_max"] for suite in suites or table))
+    c_max = draw(st.one_of(ints(min(lows) - 2, max(lows) + 1), ints(min(highs) + 1, 10**30)))
+    argv = ["verify", "--max-c", str(c_max)]
     for suite in suites:
         argv += ["--suite", suite]
+    if draw(ints(0, 7)) == 0:
+        argv += ["--suite", draw(st.sampled_from(LONG_TOKENS))]
     if not suites or "normalize" in suites:
-        argv += ["--trials", str(draw(st.one_of(ints(-1, 20), ints(_MAX_TRIALS + 1, 10**30))))]
+        low, high = table["normalize"]["trials"]
+        argv += ["--trials", str(draw(st.one_of(ints(low - 2, 20), ints(high + 1, 10**30))))]
         if draw(st.booleans()):
             argv += ["--seed", str(draw(ints(-5, 5)))]
     if draw(st.booleans()):

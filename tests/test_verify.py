@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import random
@@ -8,7 +9,6 @@ from emptytet import verify, white
 from emptytet.geometry import parallelepiped_interior_bruteforce, standard_tetrahedron
 from emptytet.intlin import AffineUnimodularMap, det3
 from emptytet.verify import (
-    _MAX_TRIALS,
     VerificationReport,
     _suites,
     random_unimodular_map,
@@ -231,20 +231,32 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         verify_floor_steps(2)
     with pytest.raises(ValueError):
-        verify_normalization(trials=0)
-    with pytest.raises(ValueError):
         verify_normalization(trials=5, c_max=0)
+    with pytest.raises(ValueError) as refused:
+        verify_normalization(trials=0)
+    assert str(refused.value) == "the normalize suite needs trials >= 1, got trials = 0"
     with pytest.raises(ValueError, match="budget of trials <= 7000"):
-        verify_normalization(trials=_MAX_TRIALS + 1)
+        verify_normalization(trials=7001)
 
 
 def test_c_max_budgets():
-    # Every budget covers the ranges the tests, README and benchmark sweep,
-    # and the budgets grow in the CLI's run order.
-    budgets = [high for _, _, high in _suites().values()]
+    # Each suite's table entry lists its function's arguments in order, every
+    # range holds the values the tests, README and benchmark use, and the
+    # c_max budgets grow in the CLI's run order.
+    used = {
+        "white": {"c_max": 25},
+        "coplanar": {"c_max": 25},
+        "fn": {"c_max": 100},
+        "normalize": {"trials": 1000, "seed": 0, "c_max": 10},
+    }
+    table = _suites()
+    assert list(table) == list(used)
+    for suite, (run, ranges) in table.items():
+        assert list(ranges) == list(inspect.signature(run).parameters) == list(used[suite])
+        for name, value in used[suite].items():
+            assert ranges[name] is None or ranges[name][0] <= value <= ranges[name][1], (suite, name)
+    budgets = [ranges["c_max"][1] for _, ranges in table.values()]
     assert budgets == sorted(budgets)
-    for suite, used in {"white": 25, "coplanar": 25, "fn": 100, "normalize": 10}.items():
-        assert _suites()[suite][2] >= used
 
 
 def test_normalization_lists_each_c_units_once(monkeypatch):
