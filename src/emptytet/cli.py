@@ -111,6 +111,8 @@ def _read_tetrahedron(args) -> Tetrahedron:
             values = [_int(tok) for tok in text.split()]
         except (UnicodeDecodeError, argparse.ArgumentTypeError) as exc:
             raise ValueError(f"--file {args.file}: {exc}") from None
+        except OSError as exc:  # its strerror, as the path is already named
+            raise ValueError(f"--file {args.file}: {exc.strerror}") from None
     else:
         values = args.coords
     if len(values) != 12:

@@ -176,6 +176,18 @@ def test_file_not_utf8(run, tmp_path):
         assert err == f"error: --file {path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
 
 
+def test_file_that_cannot_be_opened(run, tmp_path):
+    # the reason names the option and the path once, as every other --file
+    # refusal does
+    missing = tmp_path / "missing.txt"
+    for path, reason in ((missing, "No such file or directory"), (tmp_path, "Is a directory")):
+        for command in ("classify", "normalize"):
+            code, out, err = run(command, "--file", str(path))
+            assert code == 2
+            assert out == ""
+            assert err == f"error: --file {path}: {reason}\n"
+
+
 def test_file_read_is_bounded(run, tmp_path):
     # a file padded to exactly the bound is read whole; one character more
     # is refused, by classify and normalize alike, and never truncated

@@ -175,10 +175,19 @@ def test_verify_coplanarity_small():
 
 
 def test_verify_floor_steps_small():
-    report = verify_floor_steps(20)
-    assert report.ok
-    assert report.tallies["unit_slope_empty_support"].passed == 19
-    assert report.tallies["support_size"].failed == 0
+    # every check's own tally, counted from phi(c): a rewrite that drops or
+    # doubles one check's records fails here even when the total matches
+    for c_max in (20, 80):
+        phi = {c: sum(math.gcd(n, c) == 1 for n in range(1, c)) for c in range(2, c_max + 1)}
+        larger_slopes = sum(phi[c] - 1 for c in range(3, c_max + 1))
+        report = verify_floor_steps(c_max)
+        assert report.ok
+        assert {name: tally.passed for name, tally in report.tallies.items()} == {
+            "unit_slope_empty_support": c_max - 1,
+            "support_closed_form": larger_slopes,
+            "support_size": larger_slopes,
+            "complement_identity": sum(phi.values()),
+        }
 
 
 def test_verify_normalization_small_and_seeded():
