@@ -11,7 +11,10 @@ error, 141 (128 + SIGPIPE) the reader closed standard output early, e.g.
 """
 
 import argparse
+import functools
+import io
 import os
+import re
 import sys
 
 from .geometry import (
@@ -156,26 +159,32 @@ def _cmd_classify(args) -> int:
             oracle=oracle,
         )
     else:
-        # Vectors are plain int tuples, so print writes each as (x, y, z).
-        print("vertices:", *t.vertices())
-        print("volume6:", volume6(t))
-        print("clean:", "yes" if clean else "no")
-        print("empty:", "yes" if empty else "no")
-        if form is not None:
-            print(f"canonical form: a={form.a} b={form.b} c={form.c} d={form.d}")
-            print("map matrix rows:", *result.map.matrix)
-            print("map translation:", result.map.translation)
-        else:
-            print("canonical form: none (not normalizable)")
-        if empty:
-            print("plane:", plane)
-            print("interior points (canonical coordinates):", *(interior or ["none"]))
-        if oracle is not None:
-            print(
-                "oracle: empty={} clean={} agreement={}".format(
-                    *("yes" if v else "no" for v in (oracle["empty"], oracle["clean"], oracle["agrees"]))
-                )
-            )
+        # The report is rendered whole before any of it is written, so that
+        # a refusal leaves stdout empty.  Vectors are plain int tuples, so
+        # print writes each as (x, y, z).
+        report = io.StringIO()
+        say = functools.partial(print, file=report)
+        try:
+            say("vertices:", *t.vertices())
+            say("volume6:", volume6(t))
+            say("clean:", "yes" if clean else "no")
+            say("empty:", "yes" if empty else "no")
+            if form is not None:
+                say(f"canonical form: a={form.a} b={form.b} c={form.c} d={form.d}")
+                say("map matrix rows:", *result.map.matrix)
+                say("map translation:", result.map.translation)
+            else:
+                say("canonical form: none (not normalizable)")
+            if empty:
+                say("plane:", plane)
+                say("interior points (canonical coordinates):", *(interior or ["none"]))
+            if oracle is not None:
+                verdicts = ("yes" if v else "no" for v in (oracle["empty"], oracle["clean"], oracle["agrees"]))
+                say("oracle: empty={} clean={} agreement={}".format(*verdicts))
+        except ValueError:  # only str() of an integer past the int-string limit raises here
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"the text report holds an integer of more than {limit} digits, Python's int-string limit") from None
+        sys.stdout.write(report.getvalue())
     if oracle is not None and not oracle["agrees"]:
         print(
             "oracle disagreement: fast criteria say empty={} clean={}, oracle says empty={} clean={}".format(
@@ -388,7 +397,9 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # A run of over 40 digits shows as its first 12 and its count: at most 30 bytes.
+        text = re.sub(r"\d{41,}", lambda run: f"{run[0][:12]}... ({len(run[0])} digits)", str(exc))
+        print(f"error: {text}", file=sys.stderr)
         return 2
 
 

@@ -29,27 +29,24 @@ k_x + a k_l, as d_x + a d_l vanishes at p_o.  Likewise for b and y.
 `normalize` writes the map's rows (n_x + a n_l) / c, (n_y + b n_l) / c, n_l
 and its translation by these exact divisions.
 
-`canonicalize` keeps the lexicographically smallest (c, a, b) over all 24
-role assignments, giving a deterministic canonical form; two tetrahedra
-are unimodular-equivalent when their canonical forms coincide.  It
-scores the assignments before any map is made, with one Bezout vector per
-tetrahedron rather than one per assignment (White's normal form, after
-Morrison-Stevens).  Take the first face, opposite l0, whose normal is
-primitive, and a Bezout vector s of it; its class g, g_m = dot(n_m, s) mod
-c with g_l0 = 1, generates the group.  For any face l, dot(n_l, .) is onto
-Z/c exactly when g_l is a unit mod c, that is when gcd(g_l, c) == 1, and
-then the class that takes the value -1 there is m g mod c with m =
--g_l^-1 mod c.  These are face l's weights W, with W_l = -1 mod c, and the
-assignment (o, x, y, l) reaches T(W_x, W_y, c).
+`canonicalize` keeps the first of the 24 role assignments, in enumeration
+order, whose (c, a, b) is smallest, giving a deterministic canonical form
+(White's normal form, after Morrison-Stevens); two tetrahedra are
+unimodular-equivalent when their canonical forms coincide.  It scores the
+assignments before any map is made, with one Bezout vector per tetrahedron
+rather than one per assignment.  Take the first face, opposite l0, whose
+normal is primitive, and a Bezout vector s of it; its class g, g_m =
+dot(n_m, s) mod c with g_l0 = 1, generates the group.  For any face l,
+dot(n_l, .) is onto Z/c exactly when g_l is a unit mod c, that is when
+gcd(g_l, c) == 1, and then the class that takes the value -1 there is m g
+mod c with m = -g_l^-1 mod c.  These are face l's weights W, with W_l = -1
+mod c, and the assignment (o, x, y, l) reaches T(W_x, W_y, c).
 
-The scoring runs face by face.  A table lists the 24 assignments in
-`permutations` order, grouped by apex; each empty face l scores its six,
-(origin, e1, e2, l), by the key (W[e1], W[e2], roles).  c is the same for
-every assignment, so it is left out of the key, and the roles in it send
-ties to the first assignment in enumeration order.  Only the winner's map
-is built and checked, by one `normalize` call.  For clean tetrahedra every
-assignment succeeds; when no face spans an empty triangle nothing can be
-normalized and NotNormalizableError is raised.
+The scoring walks the 24 assignments once, in `permutations` order,
+skips each whose apex face is not an empty triangle, and keeps the first
+with the smallest (W[e1], W[e2]): c is the same for all of them.  Only
+the winner's map is built and checked, by one `normalize` call.  When no
+face spans an empty triangle, NotNormalizableError is raised.
 """
 
 from __future__ import annotations
@@ -112,21 +109,17 @@ def normalize(t: Tetrahedron, roles: RoleAssignment = IDENTITY_ROLES) -> Normali
     return NormalizationResult(lmap, CanonicalForm(a, b, c))
 
 
-# For each apex l, its six assignments (origin, e1, e2, l) in permutations
-# order, each as (e1, e2, roles).
-_ORDERS_BY_APEX = tuple(
-    tuple((roles[1], roles[2], roles) for roles in permutations(range(4)) if roles[3] == l)
-    for l in range(4)
-)
+# The 24 vertex-role assignments (origin, e1, e2, apex) in enumeration order.
+_ROLES = tuple(permutations(range(4)))
 
 
-def _face_weights(t: Tetrahedron) -> list[tuple[int, list[int]] | None]:
+def _face_weights(t: Tetrahedron) -> list[list[int] | None]:
     """For each vertex l, None when the face opposite l is not an empty
-    triangle, else (c, W) with W[x] the weight mod c of each face vertex x
-    and W[l] = -1 mod c.  One Bezout vector s, of the first face l0 with a
-    primitive normal, gives the generator g of the cyclic group; face l is
-    empty exactly when gcd(g[l], c) == 1, and then W = m g mod c with
-    m = -g[l]^-1 mod c (module docstring)."""
+    triangle, else its weights W: W[x] is the weight mod c of each face
+    vertex x and W[l] = -1 mod c.  One Bezout vector s, of the first face
+    l0 with a primitive normal, gives the generator g of the cyclic group;
+    face l is empty exactly when gcd(g[l], c) == 1, and then W = m g mod c
+    with m = -g[l]^-1 mod c (module docstring)."""
     forms = _face_forms(t)
     for l0, (n, _) in enumerate(forms):
         if gcd(*n) == 1:
@@ -136,43 +129,37 @@ def _face_weights(t: Tetrahedron) -> list[tuple[int, list[int]] | None]:
     s = extended_gcd3(*n)[1:]
     c = forms[0][1] + forms[1][1] + forms[2][1] + forms[3][1]
     g = [dot(n_m, s) % c for n_m, _ in forms]
-    faces: list[tuple[int, list[int]] | None] = [None] * 4
+    faces: list[list[int] | None] = [None] * 4
     for l in range(l0, 4):
         if gcd(g[l], c) == 1:
             m = -pow(g[l], -1, c)
-            faces[l] = (c, [m * x % c for x in g])
+            faces[l] = [m * x % c for x in g]
     return faces
 
 
 def canonicalize(t: Tetrahedron) -> NormalizationResult:
     """Deterministic normalization over all 24 vertex-role assignments.
 
-    Assignments whose face pair is not primitive are skipped six at a
-    time: a face that is not an empty triangle drops every assignment with
-    its opposite vertex as apex.  The rest are scored by the (c, a, b) that
-    normalize would reach, read off the weights W of the apex's opposite
-    face: (origin, e1, e2, apex) reaches (c, W[e1], W[e2]).  c is the same
-    for every assignment, so each face's six assignments, read from a table
-    grouped by apex, are compared by (W[e1], W[e2], roles), and ties go to
-    the first assignment in enumeration order.  All four faces' weights
-    come from one Bezout vector per tetrahedron (module docstring); only
-    the winner's witness map is built and checked, by one normalize call.
+    Keeps the first assignment, in enumeration order, whose (c, a, b) is
+    smallest.  (origin, e1, e2, apex) reaches (c, W[e1], W[e2]), with W the
+    weights of the face opposite the apex, and is skipped when that face
+    is not an empty triangle; c is the same for every assignment (module
+    docstring).  Only the winner's map is built, by one normalize call.
     """
     faces = _face_weights(t)
-    best: tuple[int, int, RoleAssignment] | None = None
-    for face, orders in zip(faces, _ORDERS_BY_APEX):
-        if face is None:
+    best = best_key = None
+    for roles in _ROLES:
+        weights = faces[roles[3]]
+        if weights is None:
             continue
-        weights = face[1]
-        for e1, e2, roles in orders:
-            key = (weights[e1], weights[e2], roles)
-            if best is None or key < best:
-                best = key
+        key = (weights[roles[1]], weights[roles[2]])
+        if best is None or key < best_key:
+            best, best_key = roles, key
     if best is None:
         raise NotNormalizableError(
             f"not normalizable (non-clean): no face of {t.vertices()} spans an empty triangle"
         )
-    return normalize(t, best[2])
+    return normalize(t, best)
 
 
 def canonical_form(t: Tetrahedron) -> CanonicalForm:

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -264,7 +265,7 @@ def test_classify_json_integer_bound(run):
     code, _, err = run("classify", *coords, "--json")
     assert code == 2
     assert "2^53" in err
-    # text output has no such bound
+    # text output has no 2^53 bound
     code, out, _ = run("classify", *coords)
     assert code == 0
     assert "volume6: 1" in out.splitlines()
@@ -277,6 +278,71 @@ def test_classify_json_names_the_first_integer_past_the_bound(run):
     code, out, err = run("classify", "0", "0", "0", "1", "0", "0", "0", "1", "0", str(x), "1", str(z), "--json")
     assert (code, out) == (2, "")
     assert err == "error: integer -9007199254740999 does not fit the 2^53 JSON bound\n"
+
+
+# An integer that int() accepts but a range check or the JSON bound
+# refuses: each refusal shows it as its first 12 digits and its length.
+SEVENS = "7" * 4000
+SHOWN = "777777777777... (4000 digits)"
+LONG_INTEGER_REFUSALS = {
+    "enumerate-c": (["enumerate", SEVENS], f"enumeration exceeds its budget of c <= 100000, got c = {SHOWN}"),
+    "enumerate-negative-c": (["enumerate", "-" + SEVENS], f"c must be >= 1, got -{SHOWN}"),
+    "points-c": (
+        ["points", "1", "1", SEVENS],
+        f"interior-point listing exceeds its budget of c <= 100000, got c = {SHOWN}",
+    ),
+    "points-a": (["points", SEVENS, "1", "5"], f"need 0 <= a, b < c, got a={SHOWN}, b=1, c=5"),
+    "verify-max-c": (
+        ["verify", "--max-c", SEVENS],
+        f"the white suite exceeds its budget of c_max <= 35, got c_max = {SHOWN}",
+    ),
+    "verify-trials": (
+        ["verify", "--suite", "normalize", "--trials", SEVENS],
+        f"the normalize suite exceeds its budget of trials <= 7000, got trials = {SHOWN}",
+    ),
+    "verify-json-seed": (
+        ["verify", "--suite", "normalize", "--json", "--seed", SEVENS],
+        f"integer {SHOWN} does not fit the 2^53 JSON bound",
+    ),
+    "classify": (
+        ["classify", *T115[:11], SEVENS],
+        f"interior-point listing exceeds its budget of c <= 100000, got c = {SHOWN}",
+    ),
+    "classify-json": (
+        ["classify", *T115[:11], SEVENS, "--json"],
+        f"interior-point listing exceeds its budget of c <= 100000, got c = {SHOWN}",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, line", LONG_INTEGER_REFUSALS.values(), ids=LONG_INTEGER_REFUSALS)
+def test_refusal_bounds_an_accepted_integer(run, argv, line):
+    code, out, err = run(*argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {line}\n"
+    assert len(err.encode()) < 300
+
+
+def test_classify_text_report_is_written_whole_or_not_at_all(run):
+    # volume6 of this tetrahedron has about three times as many digits as
+    # its coordinates: at 1400 digits the whole report prints, and at 1450
+    # volume6 passes the 4300-digit int-string limit, so none of it does.
+    def argv(digits):
+        a, b = "7" * digits, "3" * digits
+        return ["classify", "0", "0", "0", a, "1", "0", "0", b, "1", "5", "7", a]
+
+    code, out, err = run(*argv(1400))
+    assert (code, err) == (0, "")
+    assert len(out) == 26779
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "be94bc52579df026e22894ae504784a62fdac4ff2806461e647e430fbd27ee1b"
+    )
+    code, out, err = run(*argv(1450))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: the text report holds an integer of more than {sys.get_int_max_str_digits()} digits, "
+        "Python's int-string limit\n"
+    )
 
 
 def test_normalize_not_normalizable(run):
@@ -505,7 +571,7 @@ def test_verify_json_refuses_seed_past_the_bound_before_any_suite_runs(run):
     code, out, _ = run("verify", "--json", "--suite", "normalize", "--trials", "5", "--seed", str(2**53 - 1))
     assert code == 0
     assert json.loads(out)["reports"][0]["params"]["seed"] == 2**53 - 1
-    # text output has no such bound
+    # text output has no 2^53 bound
     code, out, _ = run("verify", "--suite", "normalize", "--trials", "5", "--seed", str(2**53))
     assert code == 0
     assert out.startswith(f"suite normalize (trials=5 seed={2**53} c_max=10)")

@@ -187,6 +187,22 @@ def test_canonicalize_matches_reference_on_scrambled_forms():
         assert_matches_reference(t)
 
 
+def test_normalize_refuses_a_witness_map_that_misses_the_standard_form(monkeypatch):
+    # Moving c from the origin face's constant onto the e1 face's keeps
+    # every normal and the sum c, so a, b and the matrix stay as they are,
+    # but the translation is off by e1 and so is every image.
+    def shifted(t):
+        (n0, k0), (n1, k1), *rest = _face_forms(t)
+        c = k0 + k1 + sum(k for _, k in rest)
+        return [(n0, k0 - c), (n1, k1 + c), *rest]
+
+    t = standard_tetrahedron(1, 1, 5)
+    monkeypatch.setattr(emptytet.normalize, "_face_forms", shifted)
+    with pytest.raises(AssertionError) as exc:
+        normalize(t)
+    assert exc.value.args == ((t, IDENTITY_ROLES, {(1, 0, 0), (2, 0, 0), (1, 1, 0), (2, 1, 5)}),)
+
+
 def test_canonicalize_normalizes_once_with_the_first_smallest_roles(monkeypatch):
     # The winner's map comes from exactly one normalize call (the call
     # bench/run.py counts as normalize.roles.attempted), and its roles are
@@ -230,7 +246,7 @@ def test_canonicalize_matches_reference_on_random_tetrahedra():
 
 def assert_face_weights_match_every_role(t):
     """Each of the 24 roles is skipped exactly when normalize rejects it,
-    and otherwise its key (c, W[e1], W[e2]) is normalize's (c, a, b)."""
+    and otherwise its key (W[e1], W[e2]) is normalize's (a, b)."""
     faces = _face_weights(t)
     for roles in permutations(range(4)):
         face = faces[roles[3]]
@@ -240,8 +256,7 @@ def assert_face_weights_match_every_role(t):
             assert face is None, (t, roles)
             continue
         assert face is not None, (t, roles)
-        c, weights = face
-        assert (c, weights[roles[1]], weights[roles[2]]) == (form.c, form.a, form.b), (t, roles)
+        assert (face[roles[1]], face[roles[2]]) == (form.a, form.b), (t, roles)
 
 
 def test_face_weights_match_every_role_on_scrambled_forms():

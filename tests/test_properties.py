@@ -29,9 +29,9 @@ from emptytet.white import _MAX_ENUMERATE_C  # noqa: E402
 # Flags that are bogus everywhere, or that some subcommands reject.
 BOGUS_FLAGS = ["--bogus", "-q", "--max-c", "--csv", "--oracle", "--check", "--json"]
 
-# Over-long tokens for an integer argument: past the int-string limit, or
-# not an integer at all.
-LONG_TOKENS = ["7" * 5000, "7" * 5000 + "x", "x" * 5000]
+# Over-long tokens for an integer argument: past the int-string limit, not
+# an integer at all, or an integer that int() reads but a range refuses.
+LONG_TOKENS = ["7" * 5000, "7" * 5000 + "x", "x" * 5000, "7" * 4000, "-" + "7" * 4000]
 
 ints = st.integers
 
