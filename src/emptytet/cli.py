@@ -106,16 +106,17 @@ def _read_tetrahedron(args) -> Tetrahedron:
     if args.file is not None:
         if args.coords:
             raise ValueError("give coordinates either inline or via --file, not both")
+        path = args.file if len(args.file) <= 200 else f"{args.file[:12]!r} ({len(args.file)} characters)"
         try:
             with open(args.file, encoding="utf-8-sig") as fh:
                 text = fh.read(_MAX_FILE_CHARS + 1)
             if len(text) > _MAX_FILE_CHARS:
-                raise ValueError(f"--file {args.file} exceeds its bound of {_MAX_FILE_CHARS} characters")
+                raise ValueError(f"--file {path} exceeds its bound of {_MAX_FILE_CHARS} characters")
             values = [_int(tok) for tok in text.split()]
         except (UnicodeDecodeError, argparse.ArgumentTypeError) as exc:
-            raise ValueError(f"--file {args.file}: {exc}") from None
+            raise ValueError(f"--file {path}: {exc}") from None
         except OSError as exc:  # its strerror, as the path is already named
-            raise ValueError(f"--file {args.file}: {exc.strerror}") from None
+            raise ValueError(f"--file {path}: {exc.strerror}") from None
     else:
         values = args.coords
     if len(values) != 12:
@@ -397,8 +398,12 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except (ValueError, OSError) as exc:
-        # A run of over 40 digits shows as its first 12 and its count: at most 30 bytes.
-        text = re.sub(r"\d{41,}", lambda run: f"{run[0][:12]}... ({len(run[0])} digits)", str(exc))
+        # A run of over 40 digits shows as its first 12 and its count; a line
+        # that still reaches 300 bytes names the vertices' most digits instead.
+        text, cut = re.subn(r"\d{41,}", lambda run: f"{run[0][:12]}... ({len(run[0])} digits)", str(exc))
+        if cut and len(f"error: {text}".encode()) >= 300:
+            digits = max(map(len, re.findall(r"\d+", str(exc))))
+            text = re.sub(r"\(\(.*\)\)", f"<vertices of up to {digits} digits>", text)
         print(f"error: {text}", file=sys.stderr)
         return 2
 

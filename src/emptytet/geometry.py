@@ -15,7 +15,8 @@ one pass over the corners and forms per call, one y-solve per x of the
 polytope's x-interval and one floor division per form per row.  The
 parallelepiped oracle reads those rows directly; the tetrahedron oracles
 read them through `_points_in`, which locates each point by the faces
-vanishing there and counts those only at the two ends of a row.
+vanishing there and counts those only at the two ends of a row.  A
+`Tetrahedron` computes its four face forms once, at construction.
 
 A tetrahedron is *empty* when its only lattice points are its four
 vertices, and *clean* when its boundary carries no lattice points besides
@@ -29,7 +30,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from enum import Enum
 
-from .intlin import E1, E2, ZERO, AffineUnimodularMap, Vec3, det3
+from .intlin import E1, E2, ZERO, AffineUnimodularMap, Vec3
 from .white import _MAX_ENUMERATE_C, CanonicalForm
 
 
@@ -45,9 +46,10 @@ class PointLocation(Enum):
 
 
 class Tetrahedron(namedtuple("Tetrahedron", "v0 v1 v2 v3")):
-    """Nondegenerate lattice tetrahedron given by four integer vertices."""
+    """Nondegenerate lattice tetrahedron given by four integer vertices; its
+    face forms are computed once, at construction, and `_replace` re-checks."""
 
-    __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def __init__(self, v0: Vec3, v1: Vec3, v2: Vec3, v3: Vec3) -> None:
         for p in self:
@@ -55,22 +57,10 @@ class Tetrahedron(namedtuple("Tetrahedron", "v0 v1 v2 v3")):
                 type(p[0]) is int and type(p[1]) is int and type(p[2]) is int
             ):
                 raise TypeError(f"vertex must be a tuple of 3 ints, got {p!r}")
-        if det3(self.edge_vectors()) == 0:
-            raise DegenerateTetrahedronError(
-                f"degenerate tetrahedron (coplanar vertices): {self.vertices()}"
-            )
+        self._faces = _face_forms(self)
 
     def vertices(self) -> tuple[Vec3, Vec3, Vec3, Vec3]:
         return tuple(self)
-
-    def edge_vectors(self) -> tuple[Vec3, Vec3, Vec3]:
-        """The three edge vectors based at v0."""
-        (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = self
-        return (
-            (x1 - x0, y1 - y0, z1 - z0),
-            (x2 - x0, y2 - y0, z2 - z0),
-            (x3 - x0, y3 - y0, z3 - z0),
-        )
 
     def transformed(self, m: AffineUnimodularMap) -> Tetrahedron:
         return Tetrahedron(m(self.v0), m(self.v1), m(self.v2), m(self.v3))
@@ -82,8 +72,9 @@ def standard_tetrahedron(a: int, b: int, c: int) -> Tetrahedron:
 
 
 def volume6(t: Tetrahedron) -> int:
-    """Six times the euclidean volume: |det| of the edge vectors at v0."""
-    return abs(det3(t.edge_vectors()))
+    """Six times the euclidean volume: the sum of the face forms' constants, computed at construction."""
+    (_, k0), (_, k1), (_, k2), (_, k3) = t._faces
+    return k0 + k1 + k2 + k3
 
 
 def _face_forms(t: Tetrahedron):
@@ -94,7 +85,8 @@ def _face_forms(t: Tetrahedron):
     coordinates of p, with `total` the positively-oriented determinant of
     the edge vectors, so d0 = total - d1 - d2 - d3 and total is the sum of
     the four c_i.  p lies in the closed tetrahedron iff all four values
-    are >= 0.  The oracle scans and `normalize` both read the faces here.
+    are >= 0.  Each `Tetrahedron` computes them once, at construction;
+    coplanar vertices, where total is 0, raise DegenerateTetrahedronError.
     """
     (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = t
     ux, uy, uz = x1 - x0, y1 - y0, z1 - z0
@@ -105,6 +97,8 @@ def _face_forms(t: Tetrahedron):
     n2x, n2y, n2z = wy * uz - wz * uy, wz * ux - wx * uz, wx * uy - wy * ux
     n3x, n3y, n3z = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
     total = ux * n1x + uy * n1y + uz * n1z
+    if total == 0:
+        raise DegenerateTetrahedronError(f"degenerate tetrahedron (coplanar vertices): {tuple(t)}")
     if total < 0:
         total = -total
         n1x, n1y, n1z, n2x, n2y, n2z = -n1x, -n1y, -n1z, -n2x, -n2y, -n2z
@@ -279,12 +273,12 @@ def _points_in(forms, corners) -> Iterator[tuple[Vec3, int]]:
 def lattice_points_in(t: Tetrahedron) -> list[tuple[Vec3, PointLocation]]:
     """Every lattice point of the closed tetrahedron with its location,
     in lexicographic (x, y, z) order."""
-    return [(p, _LOCATION_BY_ZEROS[zeros]) for p, zeros in _points_in(_face_forms(t), t.vertices())]
+    return [(p, _LOCATION_BY_ZEROS[zeros]) for p, zeros in _points_in(t._faces, t)]
 
 
 def is_empty_bruteforce(t: Tetrahedron) -> bool:
     """Oracle: no lattice point besides the four vertices; stops at the first other one."""
-    return all(zeros == 3 for _, zeros in _points_in(_face_forms(t), t.vertices()))
+    return all(zeros == 3 for _, zeros in _points_in(t._faces, t))
 
 
 def bruteforce_verdicts(t: Tetrahedron) -> tuple[bool, bool]:
@@ -295,7 +289,7 @@ def bruteforce_verdicts(t: Tetrahedron) -> tuple[bool, bool]:
     the sweep continues hunting for boundary points.
     """
     empty = True
-    for _, zeros in _points_in(_face_forms(t), t.vertices()):
+    for _, zeros in _points_in(t._faces, t):
         if zeros == 0:
             empty = False
         elif zeros != 3:

@@ -4,8 +4,8 @@ Everything works on plain integer 3-tuples and row-major 3x3 tuples of
 tuples.  Python integers are unbounded, so every determinant, Bezout
 vector and adjugate below is exact; no floating point appears anywhere
 in this package.  AffineUnimodularMap, like the package's other value
-types, is an immutable named tuple: it unpacks like a tuple and compares
-equal to the plain tuple of its fields.
+types, is a named tuple with read-only fields that `_replace` re-checks:
+it unpacks like a tuple and compares equal to the plain tuple of them.
 """
 
 from __future__ import annotations
@@ -107,6 +107,7 @@ class AffineUnimodularMap(
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def __init__(self, matrix: Mat3, translation: Vec3 = ZERO) -> None:
         d = det3(matrix)

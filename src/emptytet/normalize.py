@@ -5,8 +5,9 @@ onto a standard form by an affine unimodular map, and that map is read off
 its barycentric coordinates.  `geometry._face_forms` gives the four face
 forms d_m(p) = dot(n_m, p) + k_m = c lambda_m(p), with lambda_m the
 barycentric coordinate of vertex p_m and c = |det| of the edge vectors,
-six times the volume and the sum of the k_m.  For an assignment of vertex
-roles (origin o, e1 role x, e2 role y, apex l) the map is
+six times the volume and the sum of the k_m; a `Tetrahedron` computes
+them once, at construction.  For an assignment of vertex roles (origin
+o, e1 role x, e2 role y, apex l) the map is
 
     p -> ((d_x + a d_l) / c, (d_y + b d_l) / c, d_l),
 
@@ -55,7 +56,7 @@ from collections import namedtuple
 from itertools import permutations
 from math import gcd
 
-from .geometry import Tetrahedron, _face_forms
+from .geometry import Tetrahedron
 from .intlin import E1, E2, ZERO, AffineUnimodularMap, NotPrimitiveError, dot, extended_gcd3
 from .white import CanonicalForm
 
@@ -83,7 +84,7 @@ def normalize(t: Tetrahedron, roles: RoleAssignment = IDENTITY_ROLES) -> Normali
     """
     if sorted(roles) != [0, 1, 2, 3]:
         raise ValueError(f"roles must be a permutation of 0..3, got {roles}")
-    forms = _face_forms(t)
+    forms = t._faces
     n_l, k_l = forms[roles[3]]
     g, s0, s1, s2 = extended_gcd3(*n_l)
     if g != 1:
@@ -120,7 +121,7 @@ def _face_weights(t: Tetrahedron) -> list[list[int] | None]:
     l0 with a primitive normal, gives the generator g of the cyclic group;
     face l is empty exactly when gcd(g[l], c) == 1, and then W = m g mod c
     with m = -g[l]^-1 mod c (module docstring)."""
-    forms = _face_forms(t)
+    forms = t._faces
     for l0, (n, _) in enumerate(forms):
         if gcd(*n) == 1:
             break

@@ -32,9 +32,10 @@ from itertools import compress, count
 
 
 class CanonicalForm(namedtuple("CanonicalForm", "a b c")):
-    """Parameters (a, b, c) of the standard tetrahedron T(a, b, c)."""
+    """Parameters (a, b, c) of the standard tetrahedron T(a, b, c); `_replace` re-checks them."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def __init__(self, a: int, b: int, c: int) -> None:
         if not (type(a) is int and type(b) is int and type(c) is int):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from emptytet.geometry import (
     volume6,
 )
 from emptytet.intlin import ZERO, det3, dot
+from emptytet.normalize import canonicalize
 from emptytet.verify import random_unimodular_map
 from emptytet.white import _floor_steps
 
@@ -88,6 +90,27 @@ def test_non_int_vertices_rejected():
         verts[i] = bad
         with pytest.raises(TypeError):
             Tetrahedron(*verts)
+
+
+def test_face_forms_are_computed_once_per_tetrahedron(monkeypatch):
+    # Construction computes the four face forms; canonicalize, volume6 and
+    # the oracle read the stored ones.  Every module of the package that
+    # binds _face_forms gets the counter, so no import of it goes uncounted.
+    original = geometry._face_forms
+    calls = []
+
+    def counting(t):
+        calls.append(t)
+        return original(t)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("emptytet.") and vars(module).get("_face_forms") is original:
+            monkeypatch.setattr(module, "_face_forms", counting)
+    t = Tetrahedron((3, -4, 9), (4, -4, 9), (3, -3, 9), (8, -1, 7))
+    assert canonicalize(t).form == (1, 1, 2)
+    assert volume6(t) == 2
+    assert bruteforce_verdicts(t) == (True, True)
+    assert calls == [t]
 
 
 def test_volume6():
@@ -274,7 +297,7 @@ def test_lattice_points_match_fraction_oracle():
             a, b, c = verts[:i] + verts[i + 1 :]
             if (b[0] - a[0]) * (c[1] - a[1]) == (b[1] - a[1]) * (c[0] - a[0]):
                 kinds.add("face parallel to z")
-        if det3(t.edge_vectors()) < 0:
+        if det3([tuple(a - b for a, b in zip(q, verts[0])) for q in verts[1:]]) < 0:
             kinds.add("negative orientation")
         xs, ys = {v[0] for v in verts}, {v[1] for v in verts}
         if len({p[:2] for p, _ in got}) < (max(xs) - min(xs) + 1) * (max(ys) - min(ys) + 1):

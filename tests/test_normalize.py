@@ -187,17 +187,14 @@ def test_canonicalize_matches_reference_on_scrambled_forms():
         assert_matches_reference(t)
 
 
-def test_normalize_refuses_a_witness_map_that_misses_the_standard_form(monkeypatch):
+def test_normalize_refuses_a_witness_map_that_misses_the_standard_form():
     # Moving c from the origin face's constant onto the e1 face's keeps
     # every normal and the sum c, so a, b and the matrix stay as they are,
-    # but the translation is off by e1 and so is every image.
-    def shifted(t):
-        (n0, k0), (n1, k1), *rest = _face_forms(t)
-        c = k0 + k1 + sum(k for _, k in rest)
-        return [(n0, k0 - c), (n1, k1 + c), *rest]
-
+    # but the translation is off by e1 and so is every image.  normalize
+    # reads the forms the tetrahedron stored at construction.
     t = standard_tetrahedron(1, 1, 5)
-    monkeypatch.setattr(emptytet.normalize, "_face_forms", shifted)
+    (n0, k0), (n1, k1), *rest = t._faces
+    t._faces = ((n0, k0 - 5), (n1, k1 + 5), *rest)
     with pytest.raises(AssertionError) as exc:
         normalize(t)
     assert exc.value.args == ((t, IDENTITY_ROLES, {(1, 0, 0), (2, 0, 0), (1, 1, 0), (2, 1, 5)}),)

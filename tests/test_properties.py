@@ -3,11 +3,11 @@ the invariance of the verdicts under random unimodular maps.
 
 Whatever the argv, main returns 0, 1 or 2 without letting an exception
 escape, every stderr line is under 300 bytes, also when an integer
-argument or a `verify --suite` name is thousands of characters long, and
-an exit 2 that argparse did not produce explains itself with an `error: `
-line on stderr.  Whatever the map, the image of T(a, b, c)
-is normalizable exactly when T is, with the same canonical form and the
-same oracle verdicts.
+argument, every coordinate, a `--file` path or a `verify --suite` name is
+thousands of characters long, and an exit 2 that argparse did not produce
+explains itself with an `error: ` line on stderr.  Whatever the map, the
+image of T(a, b, c) is normalizable exactly when T is, with the same
+canonical form and the same oracle verdicts.
 """
 
 import contextlib
@@ -45,6 +45,17 @@ def vertex_argv(draw, command, flags):
     count = draw(st.sampled_from([11, 12, 12, 12, 13]))
     coords = draw(st.lists(ints(-6, 6), min_size=count, max_size=count))
     chosen = draw(st.lists(st.sampled_from(flags), max_size=2))
+    kind = draw(ints(0, 3))
+    if kind == 0:
+        # A --file path of 300 characters or more, which no file has.
+        return [command, "--file", "/" + "a" * draw(ints(299, 5000)), *chosen]
+    if kind == 1:
+        # One long integer N in every coordinate: four equal vertices, or
+        # the doubled unit tetrahedron moved to (N, N, N), which is not
+        # normalizable; both refusals name the vertices.
+        n = int("7" * draw(ints(41, 4000)))
+        shift = draw(st.sampled_from([0, 2]))
+        coords = [n, n, n, n + shift, n, n, n, n + shift, n, n, n, n + shift]
     return [command, *tokens(coords), *chosen]
 
 
@@ -100,8 +111,8 @@ def cli_argv(draw):
             verify_argv(),
         )
     )
-    if draw(ints(0, 3)) == 0:
-        numeric = [i for i, token in enumerate(argv) if token.lstrip("-").isdigit()]
+    numeric = [i for i, token in enumerate(argv) if token.lstrip("-").isdigit()]
+    if numeric and draw(ints(0, 3)) == 0:
         argv[draw(st.sampled_from(numeric))] = draw(st.sampled_from(LONG_TOKENS))
     if draw(ints(0, 3)) == 0:
         argv.append(draw(st.sampled_from(BOGUS_FLAGS)))

@@ -1,13 +1,15 @@
 """The value types' contract, and what `import emptytet.cli` loads."""
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from emptytet.geometry import DegenerateTetrahedronError, Tetrahedron, standard_tetrahedron
+from emptytet.geometry import DegenerateTetrahedronError, Tetrahedron, standard_tetrahedron, volume6
 from emptytet.intlin import IDENTITY, AffineUnimodularMap
 from emptytet.normalize import NormalizationResult, canonicalize
 from emptytet.white import CanonicalForm
@@ -107,6 +109,46 @@ def test_validation_messages(build, error, message):
     with pytest.raises(error) as info:
         build()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "value, fields, error, message",
+    [
+        (
+            standard_tetrahedron(1, 1, 5),
+            {"v3": (2, 0, 0)},
+            DegenerateTetrahedronError,
+            "degenerate tetrahedron (coplanar vertices): ((0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 0, 0))",
+        ),
+        (CanonicalForm(1, 1, 5), {"c": 0}, ValueError, "c must be >= 1, got 0"),
+        (
+            AffineUnimodularMap(IDENTITY),
+            {"matrix": ((2, 0, 0), (0, 1, 0), (0, 0, 1))},
+            ValueError,
+            "matrix is not unimodular (det = 2)",
+        ),
+    ],
+)
+def test_replace_validates_like_the_constructor(value, fields, error, message):
+    with pytest.raises(error) as info:
+        value._replace(**fields)
+    assert str(info.value) == message
+
+
+def test_replace_builds_a_whole_tetrahedron():
+    t = standard_tetrahedron(1, 1, 5)._replace(v3=(2, 3, 7))
+    assert t == standard_tetrahedron(2, 3, 7)
+    assert volume6(t) == 7
+    assert canonicalize(t) == canonicalize(standard_tetrahedron(2, 3, 7))
+
+
+def test_copies_keep_the_face_forms():
+    t = Tetrahedron((3, -4, 9), (4, -4, 9), (3, -3, 9), (8, -1, 7))
+    pickled = [pickle.loads(pickle.dumps(t, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in (copy.copy(t), copy.deepcopy(t), *pickled):
+        assert type(twin) is Tetrahedron and twin == t
+        assert twin._faces == t._faces
+        assert volume6(twin) == volume6(t) and canonicalize(twin) == canonicalize(t)
 
 
 def test_checked_classes_define_their_own_init():
