@@ -131,7 +131,12 @@ _LOCATION_BY_ZEROS = (
 # tetrahedra with a vertex at 0 took 0.001 s when cube-shaped (e1, e2,
 # (270, 270, 271)), 1.2 s when 5 points deep in z ((1999, 1, 0),
 # (1, 1998, 4), (0, 1999, 4)) and 3.0 s when 2 deep with a shadow of 5M
-# rows ((1999, 1, 0), (1, 4998, 1), (0, 4999, 1)), the slowest shape.
+# rows ((1999, 1, 0), (1, 4998, 1), (0, 4999, 1)), the slowest shape.  A
+# box past the budget is refused after the x-rows that fit in it, and its
+# rows' arithmetic grows with its coordinates' length, so those rows are
+# cut to 1/w when its largest coordinate takes w 64-bit words: a box of
+# 72-point rows with a 4000-digit coordinate (w = 208) was refused after
+# 0.8 s, where the whole budget's rows took more than 87 s.
 _MAX_SCAN_POINTS = 20_000_000
 
 
@@ -157,14 +162,21 @@ def _rows(forms, corners) -> Iterator[tuple[int, int, int, int]]:
     division per form per row, and the points its caller reads; a caller
     that stops early stops the scan.  Whole x-rows are
     scanned while the box points so far stay within _MAX_SCAN_POINTS; after
-    the last of them, a box past that budget raises ValueError.
+    the last of them, a box past that budget raises ValueError.  Such a box
+    whose largest coordinate takes w > 1 64-bit words scans only 1/w of
+    those x-rows, and its refusal says so.
     """
     xs, ys, zs = zip(*corners)
     x_lo, y_first, z_lo = min(xs), min(ys), min(zs)
-    y_last, z_hi = max(ys), max(zs)
+    x_last, y_last, z_hi = max(xs), max(ys), max(zs)
     row = (y_last - y_first + 1) * (z_hi - z_lo + 1)
-    box = (max(xs) - x_lo + 1) * row
+    box = (x_last - x_lo + 1) * row
     x_hi = x_lo + min(box, _MAX_SCAN_POINTS) // row - 1
+    words = 1
+    if box > _MAX_SCAN_POINTS:
+        bits = max(map(abs, (x_lo, x_last, y_first, y_last, z_lo, z_hi))).bit_length()
+        words = (bits + 63) // 64
+        x_hi = x_lo + _MAX_SCAN_POINTS // row // words - 1
     # Forms in z as [x-part, y, |z|], each x-part paired in steps with its
     # x coefficient to advance it with x, and the shadow's forms as
     # (x, y, constant).
@@ -229,9 +241,10 @@ def _rows(forms, corners) -> Iterator[tuple[int, int, int, int]]:
         for row_form, ax in steps:
             row_form[0] += ax
     if box > _MAX_SCAN_POINTS:
+        cut = f"; it scanned 1/{words} of the x-rows that fit, its coordinates taking {words} 64-bit words"
         raise ValueError(
             f"oracle scan exceeds its budget of {_MAX_SCAN_POINTS} lattice points "
-            f"(bounding box of {box} points)"
+            f"(bounding box of {box} points{cut if words > 1 else ''})"
         )
 
 
@@ -299,7 +312,9 @@ def bruteforce_verdicts(t: Tetrahedron) -> tuple[bool, bool]:
 
 def parallelepiped_interior_points(a: int, b: int, c: int) -> list[Vec3]:
     """The c - 1 interior lattice points of the parallelepiped spanned by
-    e1, e2 and (a, b, c), in order of increasing height z = k.
+    e1, e2 and (a, b, c), in order of increasing height z = k.  That order
+    is lexicographic, the order parallelepiped_interior_bruteforce scans
+    in: along it x and y never decrease and z rises.
 
     Point k (k = 1..c-1) is <k(c-a)/c> e1 + <k(c-b)/c> e2 + (k/c)(a, b, c)
     where <.> is the fractional part, that is (1 + floor(k*a/c),

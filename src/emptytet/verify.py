@@ -34,6 +34,9 @@ from .white import (
 
 _MAX_COUNTEREXAMPLES = 50
 
+# Swaps the bytes 0 and 1 of a staircase row and keeps every other byte.
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+
 
 class Tally:
     def __init__(self) -> None:
@@ -180,7 +183,7 @@ def verify_coplanarity(c_max: int = 25) -> VerificationReport:
             tag = lambda: f"P({a},{b},{c})"
             report.record(
                 "generator_matches_scan",
-                sorted(parallelepiped_interior_points(a, b, c)) == scan,
+                parallelepiped_interior_points(a, b, c) == scan,
                 tag,
             )
             if not white_empty(form):
@@ -203,9 +206,13 @@ def verify_floor_steps(c_max: int = 100) -> VerificationReport:
     slope 1/c has empty support, larger slopes have the closed-form support
     of size n - 1, and complementary slopes have complementary steps.
 
-    Each row is compared whole against the closed-form row, the 0/1 row
-    whose ones sit at {floor(kc/n) : k = 1..n-1}; supports are built only
-    for a counterexample's text."""
+    Rows are bytearrays, compared whole: each against the closed-form row,
+    the 0/1 row whose ones sit at {floor(kc/n) : k = 1..n-1}, and the row
+    of c - n against the row of n with its 0 and 1 bytes swapped by one
+    translate.  A translate keeps any other byte, so the complement check
+    also demands that the row hold no byte but 0 and 1: it fails exactly
+    where comparing with [1 - step for step in row] fails.  Supports are
+    built only for a counterexample's text."""
     report = _start("fn", c_max=c_max)
     for c in range(2, c_max + 1):
         rows = {n: _floor_steps(n, c) for n in _units(c)}
@@ -213,7 +220,7 @@ def verify_floor_steps(c_max: int = 100) -> VerificationReport:
             if n == 1:
                 report.record("unit_slope_empty_support", not any(row), lambda: f"n=1, c={c}")
             else:
-                closed_form = [0] * (c - 2)
+                closed_form = bytearray(c - 2)
                 for k in range(1, n):
                     closed_form[k * c // n - 1] = 1
                 report.record(
@@ -228,7 +235,7 @@ def verify_floor_steps(c_max: int = 100) -> VerificationReport:
                 )
             report.record(
                 "complement_identity",
-                rows[c - n] == [1 - step for step in row],
+                rows[c - n] == row.translate(_FLIP) and not row.translate(None, b"\0\1"),
                 lambda: f"n={n}, c={c}",
             )
     return report.finish()

@@ -16,14 +16,15 @@ satisfies_fraction_system checks the equation system as c times itself,
 in integers.  It can also be rewritten with the 0/1 staircase increments
 floor_step below.  _floor_steps builds a whole row of them without a
 division, from the remainder identity (k+1)*n = c*floor(k*n/c) + k*n % c + n,
-and floor_step_support reads its set off that row; the closed form
-{floor(k*c/n) : k = 1..n-1} of the support stays the independent check of
-the fn verify suite.  tests/test_white.py and acceptance criterion 3
-(tests/test_acceptance.py) check the staircase form against both the
-fraction form and the brute-force oracle; no verify suite calls either
-system.  The x and y of the interior points that geometry lists are
-partial sums from 1 of the staircase rows of a and b, so the step system
-is their coordinate increments.
+as a bytearray of 0 and 1 bytes, so that whole rows compare, count and
+complement in C.  floor_step_support reads its set off that row; the
+closed form {floor(k*c/n) : k = 1..n-1} of the support stays the
+independent check of the fn verify suite.  tests/test_white.py and
+acceptance criterion 3 (tests/test_acceptance.py) check the staircase
+form against both the fraction form and the brute-force oracle; no
+verify suite calls either system.  The x and y of the interior points
+that geometry lists are partial sums from 1 of the staircase rows of a
+and b, so the step system is their coordinate increments.
 """
 
 import math
@@ -108,16 +109,17 @@ def floor_step(n: int, c: int, k: int) -> int:
     return (k + 1) * n // c - k * n // c
 
 
-def _floor_steps(n: int, c: int) -> list[int]:
-    """The row [floor_step(n, c, k) for k in 1..c-2], with (n, c) checked once.
+def _floor_steps(n: int, c: int) -> bytearray:
+    """The row bytearray(floor_step(n, c, k) for k in 1..c-2), with (n, c) checked once.
 
     Walks the remainder r = k*n mod c instead of dividing for each k: since
     (k+1)*n = c*floor(k*n/c) + r + n with 0 <= r < c and n < c, the step
     at k is 1 exactly when r + n >= c, and then the next remainder is
-    r + n - c.
+    r + n - c.  The row holds only the bytes 0 and 1; it indexes, iterates
+    and zips as ints, and compares equal to the bytes of the same steps.
     """
     _require_coprime_slope(n, c)
-    row = [0] * (c - 2)
+    row = bytearray(c - 2)
     r = n
     for i in range(c - 2):
         r += n
@@ -127,7 +129,7 @@ def _floor_steps(n: int, c: int) -> list[int]:
     return row
 
 
-def _support(row: list[int]) -> set[int]:
+def _support(row: bytearray) -> set[int]:
     """The k (counting from 1) where a staircase row of _floor_steps is 1."""
     return set(compress(count(1), row))
 

@@ -408,6 +408,26 @@ def test_scan_budget_edge(monkeypatch):
             assert [(x, y, z) for x, y, lo, hi in rows for z in range(lo, hi + 1)] == [p for p, _ in want]
 
 
+def test_scan_budget_cut_for_long_coordinates(monkeypatch):
+    # A box of ten x-rows of 2 x 2 points past a budget of five x-rows: with
+    # coordinates of 64 bits it scans the five, one bit longer (two 64-bit
+    # words) half of them, and its refusal names the cut.
+    monkeypatch.setattr(geometry, "_MAX_SCAN_POINTS", 20)
+    for x_first, rows, cut in (
+        (2**64 - 10, 5, ""),
+        (2**64, 2, "; it scanned 1/2 of the x-rows that fit, its coordinates taking 2 64-bit words"),
+    ):
+        corners = ((x_first, 0, 0), (x_first + 9, 1, 1))
+        with pytest.raises(ValueError) as refused:
+            got = []
+            for x, y, lo, hi in _rows([], corners):
+                got.append((x, y, lo, hi))
+        assert got == [(x_first + i, y, 0, 1) for i in range(rows) for y in (0, 1)]
+        assert str(refused.value) == (
+            f"oracle scan exceeds its budget of 20 lattice points (bounding box of 40 points{cut})"
+        )
+
+
 def test_oracle_frozen_verdicts():
     assert bruteforce_verdicts(standard_tetrahedron(1, 1, 5)) == (True, True)
     assert bruteforce_verdicts(standard_tetrahedron(2, 3, 7)) == (False, True)
@@ -457,10 +477,11 @@ def test_parallelepiped_points_match_scan():
                     for x, y, z in box
                     if 0 < z < c and 0 < x * c - z * a < c and 0 < y * c - z * b < c
                 ], (a, b, c)
-                # the coplanar suite compares the two on clean forms only
+                # the coplanar suite compares the two on clean forms only,
+                # in order: listed by height, the points are in scan order
                 if math.gcd(a, c) == 1 and math.gcd(b, c) == 1:
                     points = parallelepiped_interior_points(a, b, c)
-                    assert sorted(points) == parallelepiped_interior_bruteforce(a, b, c), (a, b, c)
+                    assert points == parallelepiped_interior_bruteforce(a, b, c), (a, b, c)
 
 
 def test_parallelepiped_oracle_matches_the_vertex_box_scan():

@@ -6,7 +6,11 @@ import random
 import pytest
 
 from emptytet import verify, white
-from emptytet.geometry import parallelepiped_interior_bruteforce, standard_tetrahedron
+from emptytet.geometry import (
+    parallelepiped_interior_bruteforce,
+    parallelepiped_interior_points,
+    standard_tetrahedron,
+)
 from emptytet.intlin import AffineUnimodularMap, det3
 from emptytet.verify import (
     VerificationReport,
@@ -72,6 +76,18 @@ def test_coplanar_planted_counterexample(monkeypatch):
     ]
 
 
+def test_coplanar_generator_must_list_in_scan_order(monkeypatch):
+    # The right points in the wrong order: every form with two or more
+    # points (c >= 3) fails, the forms of c = 1 and c = 2 pass.
+    listing = parallelepiped_interior_points
+    monkeypatch.setattr(verify, "parallelepiped_interior_points", lambda a, b, c: listing(a, b, c)[::-1])
+    report = verify_coplanarity(6)
+    got = report.tallies["generator_matches_scan"]
+    assert (got.passed, got.failed) == (2, 23)
+    assert report.counterexamples[0] == "generator_matches_scan: P(1,1,3)"
+    assert all(check.startswith("generator_matches_scan: ") for check in report.counterexamples)
+
+
 # The count and the planes are tested on the scan, not on the generator,
 # whose construction guarantees them: a scan that loses its last point,
 # or moves every point of an a = 1 form off x = 1, must fail them.
@@ -94,13 +110,13 @@ def test_fn_planted_counterexample(monkeypatch):
     steps = verify._floor_steps
     planted = {
         # flipped: its support and both complement checks at c = 5 break
-        (2, 5): [1, 0, 1],
+        (2, 5): bytearray([1, 0, 1]),
         # the step at k = 1 moved from n = 4 to n = 3: the complement
         # identity still holds, the closed form and the size do not
-        (3, 7): [1, 1, 0, 1, 0],
-        (4, 7): [0, 0, 1, 0, 1],
+        (3, 7): bytearray([1, 1, 0, 1, 0]),
+        (4, 7): bytearray([0, 0, 1, 0, 1]),
     }
-    assert [steps(2, 5), steps(3, 7), steps(4, 7)] == [[0, 1, 0], [0, 1, 0, 1, 0], [1, 0, 1, 0, 1]]
+    assert [steps(2, 5), steps(3, 7), steps(4, 7)] == [b"\0\1\0", b"\0\1\0\1\0", b"\1\0\1\0\1"]
     monkeypatch.setattr(verify, "_floor_steps", lambda n, c: planted.get((n, c)) or steps(n, c))
     report = verify_floor_steps(7)
     assert report.counterexamples == [
@@ -112,6 +128,25 @@ def test_fn_planted_counterexample(monkeypatch):
         "support_size: n=3, c=7: |support| = 3",
         "support_closed_form: n=4, c=7: [3, 5] vs [1, 3, 5]",
         "support_size: n=4, c=7: |support| = 2",
+    ]
+
+
+def test_fn_fails_a_row_with_a_byte_other_than_0_and_1(monkeypatch):
+    # The rows of 2 and 3 at c = 5 are each other's 0/1 swap with a 2 kept
+    # in the middle, so a bare translate would pass both complement checks;
+    # [1 - step for step in row] fails them, and so must the suite.  The
+    # size check counts nonzero steps: one for n = 2, three for n = 3.
+    steps = verify._floor_steps
+    planted = {(2, 5): bytearray([0, 2, 0]), (3, 5): bytearray([1, 2, 1])}
+    assert planted[(2, 5)].translate(verify._FLIP) == planted[(3, 5)]
+    monkeypatch.setattr(verify, "_floor_steps", lambda n, c: planted.get((n, c)) or steps(n, c))
+    report = verify_floor_steps(5)
+    assert report.counterexamples == [
+        "support_closed_form: n=2, c=5: [2] vs [2]",
+        "complement_identity: n=2, c=5",
+        "support_closed_form: n=3, c=5: [1, 2, 3] vs [1, 3]",
+        "support_size: n=3, c=5: |support| = 3",
+        "complement_identity: n=3, c=5",
     ]
 
 

@@ -151,14 +151,14 @@ def test_floor_steps_row_matches_floor_step():
     # the remainder walk against the per-k definition
     for c in range(2, 121):
         for n in coprime_range(c):
-            assert _floor_steps(n, c) == [floor_step(n, c, k) for k in range(1, c - 1)], (n, c)
+            assert _floor_steps(n, c) == bytes(floor_step(n, c, k) for k in range(1, c - 1)), (n, c)
 
 
 def test_floor_steps_edge_rows():
-    assert _floor_steps(1, 2) == []  # c = 2: the k-range 1..c-2 is empty
+    assert _floor_steps(1, 2) == b""  # c = 2: the k-range 1..c-2 is empty
     for c in (3, 4, 7, 120):
-        assert _floor_steps(1, c) == [0] * (c - 2)  # n = 1: every step is 0
-        assert _floor_steps(c - 1, c) == [1] * (c - 2)  # n = c - 1: every step is 1
+        assert _floor_steps(1, c) == b"\0" * (c - 2)  # n = 1: every step is 0
+        assert _floor_steps(c - 1, c) == b"\1" * (c - 2)  # n = c - 1: every step is 1
 
 
 def test_floor_step_support_frozen():
