@@ -132,11 +132,9 @@ _LOCATION_BY_ZEROS = (
 # (270, 270, 271)), 1.2 s when 5 points deep in z ((1999, 1, 0),
 # (1, 1998, 4), (0, 1999, 4)) and 3.0 s when 2 deep with a shadow of 5M
 # rows ((1999, 1, 0), (1, 4998, 1), (0, 4999, 1)), the slowest shape.  A
-# box past the budget is refused after the x-rows that fit in it, and its
-# rows' arithmetic grows with its coordinates' length, so those rows are
-# cut to 1/w when its largest coordinate takes w 64-bit words: a box of
-# 72-point rows with a 4000-digit coordinate (w = 208) was refused after
-# 0.8 s, where the whole budget's rows took more than 87 s.
+# box past the budget is refused after the x-rows that fit in it: 278k
+# rows of 72 points with a 4000-digit coordinate took 1.7 s with the
+# shadow's bounds walked, and more than 87 s when divided on every row.
 _MAX_SCAN_POINTS = 20_000_000
 
 
@@ -162,21 +160,17 @@ def _rows(forms, corners) -> Iterator[tuple[int, int, int, int]]:
     division per form per row, and the points its caller reads; a caller
     that stops early stops the scan.  Whole x-rows are
     scanned while the box points so far stay within _MAX_SCAN_POINTS; after
-    the last of them, a box past that budget raises ValueError.  Such a box
-    whose largest coordinate takes w > 1 64-bit words scans only 1/w of
-    those x-rows, and its refusal says so.
+    the last of them, a box past that budget raises ValueError.  Past it,
+    each y-bound of the shadow is walked by _walk_y_range, with no product
+    or division per row, so that the x-rows before the refusal cost time
+    linear in the coordinates' length.
     """
     xs, ys, zs = zip(*corners)
     x_lo, y_first, z_lo = min(xs), min(ys), min(zs)
-    x_last, y_last, z_hi = max(xs), max(ys), max(zs)
+    y_last, z_hi = max(ys), max(zs)
     row = (y_last - y_first + 1) * (z_hi - z_lo + 1)
-    box = (x_last - x_lo + 1) * row
+    box = (max(xs) - x_lo + 1) * row
     x_hi = x_lo + min(box, _MAX_SCAN_POINTS) // row - 1
-    words = 1
-    if box > _MAX_SCAN_POINTS:
-        bits = max(map(abs, (x_lo, x_last, y_first, y_last, z_lo, z_hi))).bit_length()
-        words = (bits + 63) // 64
-        x_hi = x_lo + _MAX_SCAN_POINTS // row // words - 1
     # Forms in z as [x-part, y, |z|], each x-part paired in steps with its
     # x coefficient to advance it with x, and the shadow's forms as
     # (x, y, constant).
@@ -215,6 +209,17 @@ def _rows(forms, corners) -> Iterator[tuple[int, int, int, int]]:
             x_hi = x_lo - 1
     for row_form, ax in steps:
         row_form[0] += ax * x_lo
+    # Within the budget the box's sides, below 2^25, bound every shadow
+    # coefficient below 2^103, so a row's y-solve costs time linear in the
+    # coordinates' length.  Past it a coefficient can be as long as the coordinates, and
+    # the product ax * x, and the quotient of a bound far outside the box,
+    # would cost the square of that length on every row: there the bounds
+    # are walked instead.
+    walks = ()
+    if box > _MAX_SCAN_POINTS:
+        walks = [[*divmod(ax * x_lo + k, ay), *divmod(ax, ay), ay, True] for ax, ay, k in y_rising]
+        walks += [[*divmod(ax * x_lo + k, ay), *divmod(ax, ay), ay, False] for ax, ay, k in y_falling]
+        y_rising = y_falling = ()
     for x in range(x_lo, x_hi + 1):
         y_lo, y_hi = y_first, y_last
         for ax, ay, k in y_rising:
@@ -225,6 +230,8 @@ def _rows(forms, corners) -> Iterator[tuple[int, int, int, int]]:
             q = (ax * x + k) // ay
             if q < y_hi:
                 y_hi = q
+        if walks:
+            y_lo, y_hi = _walk_y_range(walks, y_lo, y_hi)
         for y in range(y_lo, y_hi + 1):
             # The z-interval; the z-free forms hold on the whole shadow.
             lo, hi = z_lo, z_hi
@@ -241,11 +248,33 @@ def _rows(forms, corners) -> Iterator[tuple[int, int, int, int]]:
         for row_form, ax in steps:
             row_form[0] += ax
     if box > _MAX_SCAN_POINTS:
-        cut = f"; it scanned 1/{words} of the x-rows that fit, its coordinates taking {words} 64-bit words"
         raise ValueError(
             f"oracle scan exceeds its budget of {_MAX_SCAN_POINTS} lattice points "
-            f"(bounding box of {box} points{cut if words > 1 else ''})"
+            f"(bounding box of {box} points)"
         )
+
+
+def _walk_y_range(walks, y_lo, y_hi) -> tuple[int, int]:
+    """(y_lo, y_hi) narrowed by one x-row's walked shadow bounds, each walk
+    stepped on to the next row.
+
+    A walk [q, r, dq, dr, d, rises] holds q, r = divmod(ax * x + k, d) for
+    the row's x and dq, dr = divmod(ax, d), for a shadow form bounding y
+    below (rises) by -q or above by q, as in _rows.  Stepping x adds ax,
+    so q and r advance by dq and dr with a carry: additions only, whatever
+    the lengths of q and d.
+    """
+    for walk in walks:
+        q, r, dq, dr, d, rises = walk
+        if rises:
+            y_lo = max(y_lo, -q)
+        else:
+            y_hi = min(y_hi, q)
+        r += dr
+        if r >= d:
+            q, r = q + 1, r - d
+        walk[0], walk[1] = q + dq, r
+    return y_lo, y_hi
 
 
 def _points_in(forms, corners) -> Iterator[tuple[Vec3, int]]:

@@ -408,24 +408,46 @@ def test_scan_budget_edge(monkeypatch):
             assert [(x, y, z) for x, y, lo, hi in rows for z in range(lo, hi + 1)] == [p for p, _ in want]
 
 
-def test_scan_budget_cut_for_long_coordinates(monkeypatch):
-    # A box of ten x-rows of 2 x 2 points past a budget of five x-rows: with
-    # coordinates of 64 bits it scans the five, one bit longer (two 64-bit
-    # words) half of them, and its refusal names the cut.
-    monkeypatch.setattr(geometry, "_MAX_SCAN_POINTS", 20)
-    for x_first, rows, cut in (
-        (2**64 - 10, 5, ""),
-        (2**64, 2, "; it scanned 1/2 of the x-rows that fit, its coordinates taking 2 64-bit words"),
-    ):
-        corners = ((x_first, 0, 0), (x_first + 9, 1, 1))
-        with pytest.raises(ValueError) as refused:
-            got = []
-            for x, y, lo, hi in _rows([], corners):
-                got.append((x, y, lo, hi))
-        assert got == [(x_first + i, y, 0, 1) for i in range(rows) for y in (0, 1)]
-        assert str(refused.value) == (
-            f"oracle scan exceeds its budget of 20 lattice points (bounding box of 40 points{cut})"
+def test_scan_walks_long_bounds_past_the_budget(monkeypatch):
+    # Past the budget the shadow's y-bounds are walked, not divided: on
+    # tetrahedra one edge 10^40 long, whose shadow coefficients run to
+    # about 270 bits, placed anywhere around +-10^30, the x-rows before the
+    # refusal hold the same points as the box walk over them, through both
+    # layers of the scan.
+    rng = random.Random(23)
+    checked = 0
+    while checked < 40:
+        x0 = rng.choice((-1, 1)) * rng.randrange(10**30)
+        vertices = [(x0 + rng.randrange(3), rng.randrange(4), rng.randrange(4)) for _ in range(3)]
+        vertices.append((x0 + rng.choice((-1, 1)) * 10**40, rng.randrange(4), rng.randrange(4)))
+        try:
+            t = Tetrahedron(*vertices)
+        except DegenerateTetrahedronError:
+            continue
+        forms = _face_forms(t)
+        xs, ys, zs = zip(*vertices)
+        rows_in_budget = rng.randrange(1, 12)
+        monkeypatch.setattr(
+            geometry, "_MAX_SCAN_POINTS", rows_in_budget * (max(ys) - min(ys) + 1) * (max(zs) - min(zs) + 1)
         )
+        first_rows = ((min(xs), min(ys), min(zs)), (min(xs) + rows_in_budget - 1, max(ys), max(zs)))
+        want = scan_oracle(forms, first_rows)
+        assert points_until_refused(_points_in(forms, t.vertices())) == want, vertices
+        rows = points_until_refused(_rows(forms, t.vertices()))
+        assert [(x, y, z) for x, y, lo, hi in rows for z in range(lo, hi + 1)] == [p for p, _ in want]
+        checked += bool(want)
+
+
+def test_oracles_stop_at_first_deciding_point_with_long_coordinates():
+    # The stop-early tetrahedron moved by 10^20 on x, with 4999 rows in y:
+    # its box is past the budget and the boundary point (X, 0, 1) is still
+    # the second one scanned.
+    X = 10**20
+    t = Tetrahedron((X, 0, 0), (X, 0, 2), (X, 4999, 2999), (X + 10**7, 0, 0))
+    start = time.perf_counter()
+    assert bruteforce_verdicts(t) == (False, False)
+    assert not is_empty_bruteforce(t)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_oracle_frozen_verdicts():
