@@ -12,7 +12,8 @@ strict x- and y-slabs over the integer box of its interior, which stands
 in for its z-slab) and yields the z-interval each (x, y) row of the box
 has inside it, rather than visiting the box point by point: its cost is
 one pass over the corners and forms per call, one y-solve per x of the
-polytope's x-interval and one floor division per form per row.  The
+polytope's x-interval, which divides only the y-bounds that narrow the
+box there, and one floor division per form per row.  The
 parallelepiped oracle reads those rows directly; the tetrahedron oracles
 read them through `_points_in`, which locates each point by the faces
 vanishing there and counts those only at the two ends of a row.  A
@@ -133,8 +134,7 @@ _LOCATION_BY_ZEROS = (
 # (1, 1998, 4), (0, 1999, 4)) and 3.0 s when 2 deep with a shadow of 5M
 # rows ((1999, 1, 0), (1, 4998, 1), (0, 4999, 1)), the slowest shape.  A
 # box past the budget is refused after the x-rows that fit in it: 278k
-# rows of 72 points with a 4000-digit coordinate took 1.7 s with the
-# shadow's bounds walked, and more than 87 s when divided on every row.
+# rows of 72 points with a 4000-digit coordinate took about 3.3 s.
 _MAX_SCAN_POINTS = 20_000_000
 
 
@@ -152,18 +152,20 @@ def _rows(forms, corners) -> Iterator[tuple[int, int, int, int]]:
     rising and a falling form that cancels z, is >= 0.  A y-free shadow
     form narrows the call's x-interval, and a constant one keeps the
     polytope or empties it; the rest bound y.  For each x in the interval
-    the y-range of the shadow is solved exactly, and for each (x, y) in
-    that the z-interval, from the rising and falling forms' x-parts, which
-    are kept once per call and step by their x coefficients as x advances.
-    So a scan costs one pass over the corners and forms per call, one
-    y-solve and one step of the row forms per x of the interval, one floor
-    division per form per row, and the points its caller reads; a caller
-    that stops early stops the scan.  Whole x-rows are
-    scanned while the box points so far stay within _MAX_SCAN_POINTS; after
-    the last of them, a box past that budget raises ValueError.  Past it,
-    each y-bound of the shadow is walked by _walk_y_range, with no product
-    or division per row, so that the x-rows before the refusal cost time
-    linear in the coordinates' length.
+    the y-range of the shadow is solved exactly, each y-bound by a floor
+    division on the x-values where it narrows the box's y-range and by a
+    comparison elsewhere, and for each (x, y) in that the z-interval, from
+    the rising and falling forms' x-parts, which are kept once per call and
+    step by their x coefficients as x advances.  So a scan costs one pass
+    over the corners and forms per call, one y-solve and one step of the
+    row forms per x of the interval, one floor division per form per row,
+    and the points its caller reads; a caller that stops early stops the
+    scan.  Whole x-rows are scanned while the box points so far stay within
+    _MAX_SCAN_POINTS; after the last of them, a box past that budget raises
+    ValueError.  Past it each y-bound is divided by the content of its x-
+    and y-coefficients first, so that, with no bound far outside the box
+    ever divided, the x-rows before the refusal cost time linear in the
+    coordinates' length.
     """
     xs, ys, zs = zip(*corners)
     x_lo, y_first, z_lo = min(xs), min(ys), min(zs)
@@ -194,13 +196,21 @@ def _rows(forms, corners) -> Iterator[tuple[int, int, int, int]]:
             steps.append((row_form, ax))
     if z_lo > z_hi:
         x_hi = x_lo - 1
-    # Shadow forms rising in y bound it below, falling ones above.
+    # Shadow forms rising in y bound it below, falling ones above, each with
+    # its cut: the bound narrows the box's y-range [y_first, y_last] exactly
+    # when ax * x + k < cut, and is divided only then.  Past the budget a
+    # coefficient can be as long as the coordinates, so there each y-bound
+    # is divided by g = gcd(ax, ay) first, which keeps its integer points:
+    # floor((g u x + k) / (g v)) = floor((u x + floor(k / g)) / v).
     y_rising, y_falling = [], []
     for ax, ay, k in shadow:
+        if ay and box > _MAX_SCAN_POINTS:
+            g = math.gcd(ax, ay)
+            ax, ay, k = ax // g, ay // g, k // g
         if ay > 0:
-            y_rising.append((ax, ay, k))
+            y_rising.append((ax, ay, k, -y_first * ay))
         elif ay < 0:
-            y_falling.append((ax, -ay, k))
+            y_falling.append((ax, -ay, k, -y_last * ay))
         elif ax > 0:
             x_lo = max(x_lo, -(k // ax))
         elif ax < 0:
@@ -209,29 +219,20 @@ def _rows(forms, corners) -> Iterator[tuple[int, int, int, int]]:
             x_hi = x_lo - 1
     for row_form, ax in steps:
         row_form[0] += ax * x_lo
-    # Within the budget the box's sides, below 2^25, bound every shadow
-    # coefficient below 2^103, so a row's y-solve costs time linear in the
-    # coordinates' length.  Past it a coefficient can be as long as the coordinates, and
-    # the product ax * x, and the quotient of a bound far outside the box,
-    # would cost the square of that length on every row: there the bounds
-    # are walked instead.
-    walks = ()
-    if box > _MAX_SCAN_POINTS:
-        walks = [[*divmod(ax * x_lo + k, ay), *divmod(ax, ay), ay, True] for ax, ay, k in y_rising]
-        walks += [[*divmod(ax * x_lo + k, ay), *divmod(ax, ay), ay, False] for ax, ay, k in y_falling]
-        y_rising = y_falling = ()
     for x in range(x_lo, x_hi + 1):
         y_lo, y_hi = y_first, y_last
-        for ax, ay, k in y_rising:
-            q = -((ax * x + k) // ay)
-            if q > y_lo:
-                y_lo = q
-        for ax, ay, k in y_falling:
-            q = (ax * x + k) // ay
-            if q < y_hi:
-                y_hi = q
-        if walks:
-            y_lo, y_hi = _walk_y_range(walks, y_lo, y_hi)
+        for ax, ay, k, cut in y_rising:
+            v = ax * x + k
+            if v < cut:
+                q = -(v // ay)
+                if q > y_lo:
+                    y_lo = q
+        for ax, ay, k, cut in y_falling:
+            v = ax * x + k
+            if v < cut:
+                q = v // ay
+                if q < y_hi:
+                    y_hi = q
         for y in range(y_lo, y_hi + 1):
             # The z-interval; the z-free forms hold on the whole shadow.
             lo, hi = z_lo, z_hi
@@ -250,31 +251,23 @@ def _rows(forms, corners) -> Iterator[tuple[int, int, int, int]]:
     if box > _MAX_SCAN_POINTS:
         raise ValueError(
             f"oracle scan exceeds its budget of {_MAX_SCAN_POINTS} lattice points "
-            f"(bounding box of {box} points)"
+            f"(bounding box of {_decimal(box)} points)"
         )
 
 
-def _walk_y_range(walks, y_lo, y_hi) -> tuple[int, int]:
-    """(y_lo, y_hi) narrowed by one x-row's walked shadow bounds, each walk
-    stepped on to the next row.
-
-    A walk [q, r, dq, dr, d, rises] holds q, r = divmod(ax * x + k, d) for
-    the row's x and dq, dr = divmod(ax, d), for a shadow form bounding y
-    below (rises) by -q or above by q, as in _rows.  Stepping x adds ax,
-    so q and r advance by dq and dr with a carry: additions only, whatever
-    the lengths of q and d.
-    """
-    for walk in walks:
-        q, r, dq, dr, d, rises = walk
-        if rises:
-            y_lo = max(y_lo, -q)
-        else:
-            y_hi = min(y_hi, q)
-        r += dr
-        if r >= d:
-            q, r = q + 1, r - d
-        walk[0], walk[1] = q + dq, r
-    return y_lo, y_hi
+def _decimal(n: int) -> str:
+    """n > 0 in decimal or, past Python's int-string limit, as its first 12
+    digits and its digit count, the form the CLI prints for a long digit
+    run; those two are found by powers of 10, not by str().  The count
+    starts below it, as 0.30102 < log10(2)."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    digits = (n.bit_length() - 1) * 30102 // 100000
+    while 10**digits <= n:
+        digits += 1
+    return f"{n // 10 ** (digits - 12)}... ({digits} digits)"
 
 
 def _points_in(forms, corners) -> Iterator[tuple[Vec3, int]]:

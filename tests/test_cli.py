@@ -124,8 +124,9 @@ def test_classify_oracle_refuses_huge_box(run):
 
 def test_classify_oracle_refuses_a_long_box_in_seconds(run):
     # 278k x-rows of 72 points, all scanned before the refusal: with a
-    # 1000-digit coordinate their shadow bounds are walked, in about 1 s,
-    # where dividing them took 14 s.
+    # 1000-digit coordinate, each shadow y-bound divided by its content and
+    # only where it narrows the box, in about 1.1 s; dividing every bound
+    # on every row, content and all, took 14 s.
     start = time.perf_counter()
     code, out, err = run("classify", "--oracle", "-6", "0", "5", "5", "4", "6", "-" + "7" * 1000, "-4", "-1", "-3", "-1", "1")
     assert time.perf_counter() - start < 5.0
@@ -133,6 +134,19 @@ def test_classify_oracle_refuses_a_long_box_in_seconds(run):
     assert err == (
         "error: oracle scan exceeds its budget of 20000000 lattice points (bounding box of "
         "560000000000... (1002 digits) points)\n"
+    )
+    assert len(err.encode()) < 300
+
+
+def test_classify_oracle_names_a_box_past_the_int_string_limit(run):
+    # A box of 10^4500 points, too long for str(): the refusal names it by
+    # its first 12 digits and its digit count, before any x-row is scanned.
+    m = "9" * 1500
+    code, out, err = run("classify", "--oracle", "0", "0", "0", m, "0", "0", "0", m, "0", "0", "0", m)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: oracle scan exceeds its budget of 20000000 lattice points (bounding box of "
+        "100000000000... (4501 digits) points)\n"
     )
     assert len(err.encode()) < 300
 

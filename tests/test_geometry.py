@@ -182,21 +182,30 @@ def rows_of(walk):
     return [(x, y, zs[0], zs[-1]) for (x, y), zs in rows.items()]
 
 
+def shadow_forms(forms):
+    """The shadow on the xy-plane as forms (x, y, constant) >= 0, by
+    Fourier-Motzkin: the z-free forms and every positive combination of a
+    rising and a falling form that cancels z."""
+    shadow = [(ax, ay, k) for (ax, ay, az), k in forms if az == 0]
+    return shadow + [
+        (az * bx - bz * ax, az * by - bz * ay, az * bk - bz * ak)
+        for (ax, ay, az), ak in forms if az > 0
+        for (bx, by, bz), bk in forms if bz < 0
+    ]
+
+
 def scan_kinds(forms, corners, walk):
     """The branches of the scan core a region reaches, found from its forms
     and its box walk: z-only forms folded into the z-range, shadow forms (z
     eliminated) by the sign of their y coefficient or, when constant, of
     their value, the box's x-values that a y-free form or the y-bounds
-    leave empty, rows at an x after one its y-bounds leave empty (the x-parts
-    of the row forms must advance over that x too), and one-point rows where
-    a rising and a falling form both vanish."""
+    leave empty, y-bounds at the other x-values by whether the box's y-range
+    already holds them or they narrow it, rows at an x after one its
+    y-bounds leave empty (the x-parts of the row forms must advance over
+    that x too), and one-point rows where a rising and a falling form both
+    vanish."""
     kinds = {"z-only form folded" for (nx, ny, nz), _ in forms if nx == ny == 0 != nz}
-    shadow = [(ax, ay, k) for (ax, ay, az), k in forms if az == 0]
-    shadow += [
-        (az * bx - bz * ax, az * by - bz * ay, az * bk - bz * ak)
-        for (ax, ay, az), ak in forms if az > 0
-        for (bx, by, bz), bk in forms if bz < 0
-    ]
+    shadow = shadow_forms(forms)
     for ax, ay, k in shadow:
         if ay:
             kinds.add("y-rising form" if ay > 0 else "y-falling form")
@@ -210,7 +219,16 @@ def scan_kinds(forms, corners, walk):
     for x in range(min(xs), max(xs) + 1):
         if any(ay == 0 and ax * x + k < 0 for ax, ay, k in shadow):
             kinds.add("x-interval cut by a y-free form")
-        elif not any(
+            continue
+        for ax, ay, k in shadow:
+            if ay > 0:
+                narrows = -((ax * x + k) // ay) > min(ys)
+            elif ay < 0:
+                narrows = (ax * x + k) // -ay < max(ys)
+            else:
+                continue
+            kinds.add("y-bound narrowing the box's y-range" if narrows else "y-bound the box already holds")
+        if not any(
             all(ax * x + ay * y + k >= 0 for ax, ay, k in shadow)
             for y in range(min(ys), max(ys) + 1)
         ):
@@ -331,6 +349,8 @@ def test_lattice_points_match_fraction_oracle():
         "constant shadow form < 0",
         "x-interval cut by a y-free form",
         "x cut by its y-bounds",
+        "y-bound the box already holds",
+        "y-bound narrowing the box's y-range",
         "rows after an x its y-bounds leave empty",
         "one-point row where a rising and a falling form vanish",
     }
@@ -372,6 +392,25 @@ def test_oracles_refuse_boxes_past_the_scan_budget():
     )
 
 
+def test_refusal_names_a_box_past_the_int_string_limit():
+    # A box size longer than Python's int-string limit of 4300 digits is
+    # named by its first 12 digits and its digit count, the form the CLI
+    # prints for a long digit run; a shorter one is printed whole.
+    assert geometry._decimal(10**4300 - 1) == "9" * 4300
+    assert geometry._decimal(10**4300) == "100000000000... (4301 digits)"
+    assert geometry._decimal(123456789012345 * 10**5000 + 7) == "123456789012... (5015 digits)"
+    assert geometry._decimal(10**4400 - 1) == "999999999999... (4400 digits)"
+    # This box of 72 * (2^26600 + 5) points is refused after the x-rows
+    # that fit the budget, as at 2^13300 (4006 digits).
+    t = Tetrahedron((-6, 0, 5), (5, 4, 6), (-(2**26600 - 1), -4, -1), (-3, -1, 1))
+    with pytest.raises(ValueError) as refused:
+        bruteforce_verdicts(t)
+    assert str(refused.value) == (
+        "oracle scan exceeds its budget of 20000000 lattice points "
+        "(bounding box of 179977062144... (8010 digits) points)"
+    )
+
+
 def points_until_refused(points):
     """The points a scan yields before it raises ValueError naming its budget."""
     got = []
@@ -408,12 +447,37 @@ def test_scan_budget_edge(monkeypatch):
             assert [(x, y, z) for x, y, lo, hi in rows for z in range(lo, hi + 1)] == [p for p, _ in want]
 
 
-def test_scan_walks_long_bounds_past_the_budget(monkeypatch):
-    # Past the budget the shadow's y-bounds are walked, not divided: on
-    # tetrahedra one edge 10^40 long, whose shadow coefficients run to
-    # about 270 bits, placed anywhere around +-10^30, the x-rows before the
-    # refusal hold the same points as the box walk over them, through both
-    # layers of the scan.
+# Long-edge tetrahedra 10^40 long in x, one vertex 10^20 short of the far
+# end (or of the near end): on their first x-rows a shadow y-bound lies
+# about 10^20 (or 10^40) outside the box's y-range.
+LONG_EDGES = [
+    ((0, 0, 0), (1, 3, 1), (10**40 - 10**20, 0, 2), (10**40, 5, 0)),
+    ((0, 0, 0), (2, 4, 2), (10**40 - 10**20, 1, 0), (10**40, 3, 1)),
+    ((0, 1, 0), (1, 0, 2), (10**40, 4, 1), (10**40 + 10**20, 2, 0)),
+    ((0, 0, 0), (1, 3, 1), (10**20 - 10**40, 0, 2), (-(10**40), 5, 0)),
+]
+
+
+def test_scan_solves_long_bounds_past_the_budget(monkeypatch):
+    # Past the budget each shadow y-bound is divided by its content and
+    # only on the rows where it narrows the box: on tetrahedra one edge
+    # 10^40 long, whose shadow coefficients run to about 270 bits, placed
+    # anywhere around +-10^30, and on the long-edge shapes, the x-rows
+    # before the refusal hold the same points as the box walk over them,
+    # through both layers of the scan.
+    def first_rows_match(t, rows_in_budget):
+        forms = _face_forms(t)
+        xs, ys, zs = zip(*t)
+        monkeypatch.setattr(
+            geometry, "_MAX_SCAN_POINTS", rows_in_budget * (max(ys) - min(ys) + 1) * (max(zs) - min(zs) + 1)
+        )
+        first_rows = ((min(xs), min(ys), min(zs)), (min(xs) + rows_in_budget - 1, max(ys), max(zs)))
+        want = scan_oracle(forms, first_rows)
+        assert points_until_refused(_points_in(forms, t)) == want, t
+        rows = points_until_refused(_rows(forms, t))
+        assert [(x, y, z) for x, y, lo, hi in rows for z in range(lo, hi + 1)] == [p for p, _ in want]
+        return bool(want)
+
     rng = random.Random(23)
     checked = 0
     while checked < 40:
@@ -424,18 +488,14 @@ def test_scan_walks_long_bounds_past_the_budget(monkeypatch):
             t = Tetrahedron(*vertices)
         except DegenerateTetrahedronError:
             continue
-        forms = _face_forms(t)
-        xs, ys, zs = zip(*vertices)
-        rows_in_budget = rng.randrange(1, 12)
-        monkeypatch.setattr(
-            geometry, "_MAX_SCAN_POINTS", rows_in_budget * (max(ys) - min(ys) + 1) * (max(zs) - min(zs) + 1)
-        )
-        first_rows = ((min(xs), min(ys), min(zs)), (min(xs) + rows_in_budget - 1, max(ys), max(zs)))
-        want = scan_oracle(forms, first_rows)
-        assert points_until_refused(_points_in(forms, t.vertices())) == want, vertices
-        rows = points_until_refused(_rows(forms, t.vertices()))
-        assert [(x, y, z) for x, y, lo, hi in rows for z in range(lo, hi + 1)] == [p for p, _ in want]
-        checked += bool(want)
+        checked += first_rows_match(t, rng.randrange(1, 12))
+    for vertices in LONG_EDGES:
+        x0 = rng.choice((-1, 1)) * rng.randrange(10**30)
+        t = Tetrahedron(*((x + x0, y, z) for x, y, z in vertices))
+        x = min(p[0] for p in t)
+        bounds = [(ax * x + k) // abs(ay) for ax, ay, k in shadow_forms(_face_forms(t)) if ay]
+        assert any(abs(q) > 10**19 for q in bounds), vertices
+        assert first_rows_match(t, 8), vertices
 
 
 def test_oracles_stop_at_first_deciding_point_with_long_coordinates():
