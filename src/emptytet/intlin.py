@@ -11,6 +11,7 @@ it unpacks like a tuple and compares equal to the plain tuple of them.
 from __future__ import annotations
 
 from collections import namedtuple
+from math import gcd
 
 Vec3 = tuple[int, int, int]
 Mat3 = tuple[Vec3, Vec3, Vec3]
@@ -38,18 +39,13 @@ def det3(m: Mat3) -> int:
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: (g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y == g."""
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        g, x, y = -g, -x, -y
-    return g, x, y
+    """(g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y == g.  x is the
+    inverse of a/g modulo |b|/g, so 0 <= x < |b|/g; b == 0 gives x = +-1."""
+    g = gcd(a, b)
+    if b == 0:
+        return g, -1 if a < 0 else 1, 0
+    x = pow(a // g, -1, abs(b) // g)
+    return g, x, (g - a * x) // b
 
 
 def extended_gcd3(a: int, b: int, c: int) -> tuple[int, int, int, int]:

@@ -11,6 +11,9 @@ set stops growing.
 A reason that says "traced by bench/run.py" holds only while the benchmark
 traces that name: once it stops, the entry fails here and the function is
 left to be moved out of the library or deleted.
+
+The package holds no assert statement, so that `python -O` still runs
+every check it makes.
 """
 
 import ast
@@ -85,3 +88,13 @@ def test_traced_reasons_name_what_the_benchmark_traces():
     }
     claimed = {name for name, reason in UNCALLED.items() if TRACED in reason}
     assert claimed - traced == set()
+
+
+def test_no_assert_statements_in_the_package():
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PKG.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []

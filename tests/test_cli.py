@@ -341,6 +341,12 @@ LONG_INTEGER_REFUSALS = {
         ["classify", *T115[:11], SEVENS, "--json"],
         f"interior-point listing exceeds its budget of c <= 100000, got c = {SHOWN}",
     ),
+    # twelve shortened coordinates would still pass 300 bytes, so the
+    # vertices are named by their most digits alone
+    "classify-degenerate": (
+        ["classify", *[SEVENS] * 12],
+        "degenerate tetrahedron (coplanar vertices): <vertices of up to 4000 digits>",
+    ),
 }
 
 

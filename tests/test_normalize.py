@@ -372,13 +372,26 @@ def unit_orbit_count(c):
     return len(orbits)
 
 
+def burnside_class_count(c):
+    """Orbits of the units mod c under {id, q -> -q, q -> q^-1, q -> -q^-1},
+    by Burnside's lemma for c > 2: q -> -q fixes no unit, q -> q^-1 fixes
+    the q with q^2 = 1 and q -> -q^-1 the q with q^2 = -1 mod c."""
+    units = [q for q in range(1, c) if math.gcd(q, c) == 1]
+    fixed = len(units) + sum(q * q % c == 1 for q in units) + sum(q * q % c == c - 1 for q in units)
+    assert fixed % 4 == 0, c
+    return fixed // 4
+
+
 def test_canonical_classes_match_unit_orbits():
     # the T(p, q) classification (Sebo, IPCO 1999): empty tetrahedra of
     # volume c are equivalent iff their units lie in one orbit, so
-    # canonical_form neither merges nor splits classes when the counts agree
-    for c in range(1, 61):
+    # canonical_form neither merges nor splits classes when the counts agree;
+    # the closed count reads neither canonical_form nor the orbit sets
+    for c in range(1, 151):
         classes = {canonical_form(standard_tetrahedron(f.a, f.b, f.c)) for f in empty_forms(c)}
         assert len(classes) == unit_orbit_count(c), c
+        if c > 2:
+            assert len(classes) == burnside_class_count(c), c
 
 
 def test_canonical_form_unit_tetrahedron():

@@ -85,6 +85,23 @@ def test_white_empty_swap_symmetry():
                 )
 
 
+def test_white_empty_matches_the_pair_split_criterion():
+    # Morrison and Stevens: a clean T(a, b, c) is empty exactly when its
+    # group generator g = (a + b - 1, -a, -b, 1) mod c, one entry per vertex,
+    # splits into two pairs that each sum to 0 mod c.  It does not read
+    # White's "one of a, b, c, d is 1", so it checks white_empty independently.
+    checked = 0
+    for c in range(2, 61):
+        for form in clean_forms(c):
+            g = (form.a + form.b - 1, -form.a, -form.b, 1)
+            split = any(
+                (g[0] + g[i]) % c == 0 and (g[j] + g[k]) % c == 0 for i, j, k in ((1, 2, 3), (2, 1, 3), (3, 1, 2))
+            )
+            assert split == white_empty(form), form
+            checked += 1
+    assert checked == 27384
+
+
 def test_fraction_system_frozen():
     assert satisfies_fraction_system(CanonicalForm(1, 2, 5))
     assert satisfies_fraction_system(CanonicalForm(1, 1, 2))
