@@ -26,7 +26,7 @@ from emptytet.geometry import (
 from emptytet.intlin import ZERO, det3, dot
 from emptytet.normalize import canonicalize
 from emptytet.verify import random_unimodular_map
-from emptytet.white import _floor_steps
+from emptytet.white import _floor_steps, clean_forms, white_empty
 
 from reference import cross
 
@@ -202,8 +202,8 @@ def scan_kinds(forms, corners, walk):
     leave empty, y-bounds at the other x-values by whether the box's y-range
     already holds them or they narrow it, rows at an x after one its
     y-bounds leave empty (the x-parts of the row forms must advance over
-    that x too), and one-point rows where a rising and a falling form both
-    vanish."""
+    that x too), one-point rows where a rising and a falling form both
+    vanish, and points strictly inside a row where a z-free form vanishes."""
     kinds = {"z-only form folded" for (nx, ny, nz), _ in forms if nx == ny == 0 != nz}
     shadow = shadow_forms(forms)
     for ax, ay, k in shadow:
@@ -239,6 +239,8 @@ def scan_kinds(forms, corners, walk):
         rising = {n[2] > 0 for n, k in forms if n[2] and dot(n, (x, y, lo)) + k == 0}
         if lo == hi and rising == {True, False}:
             kinds.add("one-point row where a rising and a falling form vanish")
+        if hi - lo >= 2 and any(n[2] == 0 and dot(n, (x, y, lo)) + k == 0 for n, k in forms):
+            kinds.add("inner row point where a z-free form vanishes")
     return kinds
 
 
@@ -353,6 +355,7 @@ def test_lattice_points_match_fraction_oracle():
         "y-bound narrowing the box's y-range",
         "rows after an x its y-bounds leave empty",
         "one-point row where a rising and a falling form vanish",
+        "inner row point where a z-free form vanishes",
     }
 
 
@@ -538,6 +541,75 @@ def test_oracle_invariant_under_unimodular_maps():
             assert sorted((m(p), loc) for p, loc in lattice_points_in(t)) == lattice_points_in(
                 t.transformed(m)
             ), (a, b, c)
+
+
+def test_first_failing_k_of_the_fraction_system_names_an_interior_point():
+    # The point certificate of a clean T(a, b, c) that is not empty: at the
+    # first k where <ka/c> + <kb/c> + <kd/c> - k/c = 1 fails, the residues
+    # r = (kd, ka, kb, -k) mod c, one per vertex (origin, e1, e2, apex), sum
+    # to c or 3c; flipped to c - r in the second case, r / c are the
+    # barycentric coordinates of an interior lattice point.
+    checked = 0
+    for c in range(2, 41):
+        for form in clean_forms(c):
+            if white_empty(form):
+                continue
+            a, b, d = form.a, form.b, form.d
+            k = next(k for k in range(1, c) if k * a % c + k * b % c + k * d % c - k != c)
+            r = [k * d % c, k * a % c, k * b % c, -k % c]
+            if sum(r) == 3 * c:
+                r = [c - r_m for r_m in r]
+            assert sum(r) == c, form
+            x, x_rem = divmod(r[1] + r[3] * a, c)
+            y, y_rem = divmod(r[2] + r[3] * b, c)
+            assert x_rem == y_rem == 0, form
+            locations = dict(lattice_points_in(standard_tetrahedron(a, b, c)))
+            assert locations[(x, y, r[3])] is PointLocation.INTERIOR, form
+            checked += 1
+    assert checked == 6400
+
+
+def dedekind(h, k):
+    """The Dedekind sum s(h, k) of coprime h and k >= 1, by reciprocity,
+    s(h, k) + s(k, h) = (h/k + k/h + 1/(hk))/12 - 1/4, with s(h, k) =
+    s(h mod k, k) and s(h, 1) = 0: Euclid's steps on exact fractions."""
+    s, sign = Fraction(0), 1
+    while k > 1:
+        h %= k
+        s += sign * (Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4))
+        h, k, sign = k, h, -sign
+    return s
+
+
+def test_dedekind_reciprocity_matches_the_definition():
+    # s(h, k) = sum over j = 1..k-1 of ((j/k)) ((hj/k)), with the sawtooth
+    # ((x)) = x - floor(x) - 1/2 (no j/k or hj/k is an integer here).
+    half = Fraction(1, 2)
+    for k in range(2, 31):
+        for h in range(1, k):
+            if math.gcd(h, k) == 1:
+                want = sum((Fraction(j, k) - half) * (Fraction(h * j % k, k) - half) for j in range(1, k))
+                assert dedekind(h, k) == want, (h, k)
+                assert (6 * k * want).denominator == 1, (h, k)
+
+
+def test_dedekind_sums_count_the_interior_points_of_clean_forms():
+    # A clean T(a, b, c) has (c - 1)(c - 2)/(6c) + sum over m < n of
+    # s(x_m / x_n mod c, c) interior lattice points, with x = (d, a, b, c - 1)
+    # the units that multiply k in the fraction system; so the count is 0
+    # exactly when White's criterion calls the form empty.
+    checked = 0
+    for c in range(2, 26):
+        for form in clean_forms(c):
+            x = (form.d, form.a, form.b, c - 1)
+            count = Fraction((c - 1) * (c - 2), 6 * c) + sum(
+                dedekind(x[m] * pow(x[n], -1, c) % c, c) for m in range(4) for n in range(m + 1, 4)
+            )
+            points = lattice_points_in(standard_tetrahedron(form.a, form.b, c))
+            assert count == sum(loc is PointLocation.INTERIOR for _, loc in points), form
+            assert (count == 0) == white_empty(form), form
+            checked += 1
+    assert checked == 2128
 
 
 def test_parallelepiped_points_frozen():
