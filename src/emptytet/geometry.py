@@ -15,10 +15,11 @@ one pass over the corners and forms per call, one y-solve per x of the
 polytope's x-interval, which divides only the y-bounds that narrow the
 box there, and one floor division per form per row.  The
 parallelepiped oracle reads those rows directly; the tetrahedron oracles
-read them through `_points_in`, which locates each point by the faces
-vanishing there, counted in one pass over the faces per row: at its two
-ends, and once for the points between them.  A `Tetrahedron` computes
-its four face forms once, at construction.
+read them through `_points_in`, which locates each point by the number
+of faces through it (`lattice_points_in` says what each count means),
+counted in one pass over the faces per row: at its two ends, and once
+for the points between them.  A `Tetrahedron` computes its four face
+forms once, at construction.
 
 A tetrahedron is *empty* when its only lattice points are its four
 vertices, and *clean* when its boundary carries no lattice points besides
@@ -30,7 +31,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterator
-from enum import Enum
 
 from .intlin import E1, E2, ZERO, AffineUnimodularMap, Vec3
 from .white import _MAX_ENUMERATE_C, CanonicalForm
@@ -38,13 +38,6 @@ from .white import _MAX_ENUMERATE_C, CanonicalForm
 
 class DegenerateTetrahedronError(ValueError):
     """Vertices whose edge vectors have zero determinant."""
-
-
-class PointLocation(Enum):
-    OUTSIDE = "outside"
-    VERTEX = "vertex"
-    BOUNDARY_NON_VERTEX = "boundary-non-vertex"
-    INTERIOR = "interior"
 
 
 class Tetrahedron(namedtuple("Tetrahedron", "v0 v1 v2 v3")):
@@ -114,16 +107,6 @@ def _face_forms(t: Tetrahedron):
         ((n2x, n2y, n2z), c2),
         ((n3x, n3y, n3z), c3),
     )
-
-
-# Location of an in-tetrahedron point by how many face forms vanish there;
-# four zeros would force total == 0, excluded by nondegeneracy.
-_LOCATION_BY_ZEROS = (
-    PointLocation.INTERIOR,
-    PointLocation.BOUNDARY_NON_VERTEX,
-    PointLocation.BOUNDARY_NON_VERTEX,
-    PointLocation.VERTEX,
-)
 
 
 # Lattice points in the scanned bounding box that the scan accepts per
@@ -279,12 +262,12 @@ def _points_in(forms, corners) -> Iterator[tuple[Vec3, int]]:
     _rows(forms, corners) yields, as (p, zeros) in lexicographic (x, y, z)
     order, where zeros is the number of forms vanishing at p.
 
-    For a tetrahedron's four face forms zeros is 0 for interior points, 3
-    for vertices and 1 or 2 for the rest of the boundary.  It is counted
-    in one pass over the forms per row, never per point: each form is
-    evaluated at z_lo and, on a row of more than one point, at z_hi.
-    Strictly inside such a row only the z-free forms can vanish, since a
-    form that moves with z and is >= 0 at both ends is > 0 between them.
+    For a tetrahedron's four face forms zeros locates p as
+    lattice_points_in says.  It is counted in one pass over the forms per
+    row, never per point: each form is evaluated at z_lo and, on a row of
+    more than one point, at z_hi.  Strictly inside such a row only the
+    z-free forms can vanish, since a form that moves with z and is >= 0 at
+    both ends is > 0 between them.
     """
     for x, y, lo, hi in _rows(forms, corners):
         at_lo = at_hi = inside = 0
@@ -301,10 +284,12 @@ def _points_in(forms, corners) -> Iterator[tuple[Vec3, int]]:
             yield (x, y, hi), at_hi
 
 
-def lattice_points_in(t: Tetrahedron) -> list[tuple[Vec3, PointLocation]]:
-    """Every lattice point of the closed tetrahedron with its location,
-    in lexicographic (x, y, z) order."""
-    return [(p, _LOCATION_BY_ZEROS[zeros]) for p, zeros in _points_in(t._faces, t)]
+def lattice_points_in(t: Tetrahedron) -> list[tuple[Vec3, int]]:
+    """Every lattice point p of the closed tetrahedron, in lexicographic
+    (x, y, z) order, as (p, faces) with faces the number of faces through
+    p: 0 inside, 1 inside a face, 2 inside an edge and 3 at a vertex.  No
+    point lies on all four faces, as their forms sum to 6 times the volume."""
+    return list(_points_in(t._faces, t))
 
 
 def is_empty_bruteforce(t: Tetrahedron) -> bool:

@@ -69,10 +69,8 @@ class NotNormalizableError(ValueError):
     """No vertex-role assignment has a primitive face pair."""
 
 
-class NormalizationResult(namedtuple("NormalizationResult", "map form")):
-    """A witnessing unimodular map together with the form it produces."""
-
-    __slots__ = ()
+# A witnessing unimodular map together with the form it produces.
+NormalizationResult = namedtuple("NormalizationResult", "map form")
 
 
 def normalize(t: Tetrahedron, roles: RoleAssignment = IDENTITY_ROLES) -> NormalizationResult:

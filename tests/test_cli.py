@@ -8,6 +8,7 @@ import time
 import pytest
 
 from emptytet.cli import build_parser, main
+from emptytet.geometry import bruteforce_verdicts, standard_tetrahedron
 from emptytet.verify import VerificationReport, _suites
 
 T115 = ["0", "0", "0", "1", "0", "0", "0", "1", "0", "1", "1", "5"]
@@ -473,6 +474,16 @@ def test_classify_refuses_interior_listing_past_the_budget(run):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "budget of c <= 100000" in err
+
+
+def test_oracle_decides_an_empty_input_past_the_listing_budget():
+    # T(1, 5, 1000003) is empty, so classify refuses it as the test above
+    # refuses T(1, 1, 10^11), while its own oracle decides it at once: the
+    # 12M-point box is within the scan budget and has 12 (x, y) rows, whose
+    # z-intervals hold the four vertices only.
+    start = time.perf_counter()
+    assert bruteforce_verdicts(standard_tetrahedron(1, 5, 1000003)) == (True, True)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_verify_json_byte_stable(run):

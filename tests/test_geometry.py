@@ -10,7 +10,6 @@ import pytest
 from emptytet import geometry
 from emptytet.geometry import (
     DegenerateTetrahedronError,
-    PointLocation,
     Tetrahedron,
     _face_forms,
     _points_in,
@@ -23,7 +22,7 @@ from emptytet.geometry import (
     standard_tetrahedron,
     volume6,
 )
-from emptytet.intlin import ZERO, det3, dot
+from emptytet.intlin import ZERO, adjugate, det3, dot
 from emptytet.normalize import canonicalize
 from emptytet.verify import random_unimodular_map
 from emptytet.white import _floor_steps, clean_forms, white_empty
@@ -40,7 +39,8 @@ LOCATE_CASES = [
 
 
 def locate_oracle(t, p):
-    """Independent point location: solve the barycentric system exactly."""
+    """Independent point location: solve the barycentric system exactly and
+    count its zero coordinates, the faces through p; None outside."""
     v0, v1, v2, v3 = t.vertices()
     u1, u2, u3, rhs = (tuple(a - b for a, b in zip(q, v0)) for q in (v1, v2, v3, p))
     den = det3((u1, u2, u3))
@@ -51,13 +51,8 @@ def locate_oracle(t, p):
     ]
     lams.insert(0, 1 - sum(lams))
     if any(lam < 0 for lam in lams):
-        return PointLocation.OUTSIDE
-    zeros = sum(lam == 0 for lam in lams)
-    if zeros == 0:
-        return PointLocation.INTERIOR
-    if zeros == 3:
-        return PointLocation.VERTEX
-    return PointLocation.BOUNDARY_NON_VERTEX
+        return None
+    return sum(lam == 0 for lam in lams)
 
 
 def box_points(t, pad=1):
@@ -124,25 +119,20 @@ def test_volume6():
 
 def test_lattice_points_unit_tetrahedron():
     pts = lattice_points_in(UNIT)
-    assert pts == [
-        ((0, 0, 0), PointLocation.VERTEX),
-        ((0, 0, 1), PointLocation.VERTEX),
-        ((0, 1, 0), PointLocation.VERTEX),
-        ((1, 0, 0), PointLocation.VERTEX),
-    ]
+    assert pts == [((0, 0, 0), 3), ((0, 0, 1), 3), ((0, 1, 0), 3), ((1, 0, 0), 3)]
 
 
 def test_lattice_points_T115_vertices_only():
     pts = lattice_points_in(standard_tetrahedron(1, 1, 5))
     assert [p for p, _ in pts] == sorted([(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 5)])
-    assert all(loc == PointLocation.VERTEX for _, loc in pts)
+    assert all(loc == 3 for _, loc in pts)
 
 
 def test_lattice_points_lex_order_and_locations():
     t = standard_tetrahedron(2, 3, 7)
     pts = lattice_points_in(t)
     assert [p for p, _ in pts] == sorted(p for p, _ in pts)
-    assert any(loc == PointLocation.INTERIOR for _, loc in pts)
+    assert any(loc == 0 for _, loc in pts)
     for p, loc in pts:
         assert locate_oracle(t, p) == loc
 
@@ -309,7 +299,7 @@ def test_lattice_points_match_fraction_oracle():
     kinds = set()
     for t in LOCATE_CASES + ROW_CASES + sample + forms:
         want = [(p, locate_oracle(t, p)) for p in box_points(t)]
-        want = [(p, loc) for p, loc in want if loc != PointLocation.OUTSIDE]
+        want = [(p, loc) for p, loc in want if loc is not None]
         got = lattice_points_in(t)
         assert got == want, t
         verts = t.vertices()
@@ -368,6 +358,24 @@ def test_oracles_stop_at_first_deciding_point():
     assert bruteforce_verdicts(t) == (False, False)
     assert not is_empty_bruteforce(t)
     assert time.perf_counter() - start < 2.0
+
+
+def test_point_location_counts_the_faces_once_per_row():
+    # A clean shape 131 deep, built like CI's densest one at the budget: a
+    # third of its box lies inside, and bruteforce_verdicts reads all its
+    # points, as none is on the boundary.  Counting the faces once per row,
+    # that took about 0.09 s on a 2-core VM with Python 3.11 (0.11 s
+    # under -X dev); counting them at every point took 0.72 s (1.15 s).
+    # The best of three runs is bounded, so one slow run does not fail it.
+    t = Tetrahedron((0, 0, 0), (129, 130, 0), (130, 0, 131), (0, 129, 131))
+    rows = list(_rows(_face_forms(t), t))
+    assert (len(rows), sum(hi - lo + 1 for _, _, lo, hi in rows)) == (16603, 733649)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        assert bruteforce_verdicts(t) == (False, True)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.35, times
 
 
 def test_empty_regions_scan_no_rows():
@@ -564,9 +572,42 @@ def test_first_failing_k_of_the_fraction_system_names_an_interior_point():
             y, y_rem = divmod(r[2] + r[3] * b, c)
             assert x_rem == y_rem == 0, form
             locations = dict(lattice_points_in(standard_tetrahedron(a, b, c)))
-            assert locations[(x, y, r[3])] is PointLocation.INTERIOR, form
+            assert locations[(x, y, r[3])] == 0, form
             checked += 1
     assert checked == 6400
+
+
+def width_one_functionals(t):
+    """The nonzero integer functionals f with f(v_i - v_j) <= 1 for any two
+    vertices of t, found by the scan core: the twelve forms
+    1 - f.(v_i - v_j) >= 0 over the box |f_j| <= sum_k |adjugate(E)[j][k]| / |det E|,
+    with E the edge rows v_k - v_0.  That box holds them all, as
+    f = adjugate(E) (E f) / det E and each entry of E f lies in [-1, 1]."""
+    edges = [tuple(a - b for a, b in zip(v, t.v0)) for v in t[1:]]
+    det = abs(det3(edges))
+    bound = tuple(sum(map(abs, row)) // det for row in adjugate(edges))
+    forms = [(tuple(b - a for a, b in zip(v, w)), 1) for v in t for w in t if v != w]
+    rows = _rows(forms, (tuple(-x for x in bound), bound))
+    return [(x, y, z) for x, y, lo, hi in rows for z in range(lo, hi + 1) if (x, y, z) != ZERO]
+
+
+def test_clean_forms_have_width_one_exactly_when_empty():
+    # White's theorem: a clean tetrahedron is empty exactly when a nonzero
+    # integer functional takes only two adjacent values on its vertices,
+    # that is when its lattice width is 1.  The scan core finds those
+    # functionals in a region that is neither a simplex nor a parallelepiped.
+    checked = empty = 0
+    for c in range(1, 41):
+        for form in clean_forms(c):
+            t = standard_tetrahedron(form.a, form.b, c)
+            functionals = width_one_functionals(t)
+            assert bool(functionals) == white_empty(form), form
+            for f in functionals:
+                values = {dot(f, v) for v in t}
+                assert max(values) - min(values) == 1, (form, f)
+            checked += 1
+            empty += bool(functionals)
+    assert (checked, empty) == (7752, 1352)
 
 
 def dedekind(h, k):
@@ -606,7 +647,7 @@ def test_dedekind_sums_count_the_interior_points_of_clean_forms():
                 dedekind(x[m] * pow(x[n], -1, c) % c, c) for m in range(4) for n in range(m + 1, 4)
             )
             points = lattice_points_in(standard_tetrahedron(form.a, form.b, c))
-            assert count == sum(loc is PointLocation.INTERIOR for _, loc in points), form
+            assert count == sum(loc == 0 for _, loc in points), form
             assert (count == 0) == white_empty(form), form
             checked += 1
     assert checked == 2128

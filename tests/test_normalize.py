@@ -6,7 +6,6 @@ import pytest
 
 from emptytet.geometry import (
     DegenerateTetrahedronError,
-    PointLocation,
     Tetrahedron,
     _face_forms,
     is_empty_bruteforce,
@@ -33,7 +32,7 @@ from emptytet.normalize import (
     normalize,
 )
 from emptytet.verify import random_unimodular_map
-from emptytet.white import CanonicalForm, clean_forms, empty_forms, is_clean_form
+from emptytet.white import CanonicalForm, clean_forms, empty_forms, is_clean_form, satisfied_clause
 
 from reference import cross
 
@@ -309,7 +308,7 @@ def test_face_primitivity_matches_the_tetrahedron_scan():
         forms = _face_forms(t)
         full = [False] * 4
         for p, loc in lattice_points_in(t):
-            if loc is not PointLocation.VERTEX:
+            if loc != 3:
                 for l, (n, k) in enumerate(forms):
                     full[l] |= dot(n, p) + k == 0
         assert [face is None for face in _face_weights(t)] == full, t
@@ -392,6 +391,35 @@ def test_canonical_classes_match_unit_orbits():
         assert len(classes) == unit_orbit_count(c), c
         if c > 2:
             assert len(classes) == burnside_class_count(c), c
+
+
+# Each clause's plane in canonical coordinates: a linear form that takes
+# only the values 0 and 1 on the vertices 0, e1, e2 and (a, b, c).
+CLAUSE_PLANES = {"a=1": (1, 0, 0), "b=1": (0, 1, 0), "d=1": (1, 1, -1), "c=1": (0, 0, 1)}
+
+
+def test_clause_planes_pull_back_to_width_one_functionals():
+    # The width certificate of an empty input: its clause's plane pulled
+    # back through a witness map m, as the row plane . m.matrix with the
+    # offset plane . m.translation, is primitive and takes two adjacent
+    # values on the input's vertices.  canonicalize's map reaches a=1 or
+    # c=1; normalize's identity roles keep the scrambled form's own clause.
+    rng = random.Random(41)
+    checked, clauses = 0, set()
+    for c in range(1, 31):
+        for form in empty_forms(c):
+            t = standard_tetrahedron(form.a, form.b, c).transformed(random_unimodular_map(rng))
+            for m, reached in (canonicalize(t), normalize(t)):
+                clause = satisfied_clause(reached)
+                plane = CLAUSE_PLANES[clause]
+                row = tuple(dot(plane, column) for column in zip(*m.matrix))
+                offset = dot(plane, m.translation)
+                assert math.gcd(*row) == 1, (form, clause)
+                assert {dot(row, v) + offset for v in t} == {0, 1}, (form, clause)
+                clauses.add(clause)
+            checked += 1
+    assert checked == 746
+    assert clauses == set(CLAUSE_PLANES)
 
 
 def test_canonical_form_unit_tetrahedron():
